@@ -3,10 +3,11 @@
 # and process execution backends), a serving batch-mode smoke (build ->
 # cached re-query -> artifact validate), an HTTP front-end smoke (serve-http
 # in the background -> cold/warm POST cycle -> background build poll ->
-# /metrics scrape with monotone-counter assertions + a scrape-interval
-# self-test: two scrapes under traffic, counters monotone, gauges within
-# bounds, exemplar annotations parsed and resolved via /debug/traces ->
-# teardown even on failure), a sharded serve-http cycle (--shards 2: health
+# a Content-Length: -5 frame answered 400 -> /metrics scrape with
+# monotone-counter assertions + a scrape-interval self-test: two scrapes
+# under traffic, counters monotone, gauges within bounds, exemplar
+# annotations parsed and resolved via /debug/traces -> teardown even on
+# failure), a sharded serve-http cycle (--shards 2: health
 # poll, cold/warm POST, per-shard /stats assertions reconciled against the
 # per-shard /metrics counters, trap teardown), a sampled serve-http cycle
 # (1% head rate: sampler counters tick, /debug/slo reconciles with /stats,
@@ -143,7 +144,15 @@ assert record["status"] == "done", record
 stats = call("GET", "/stats")
 assert stats["requests"]["answered"] == 4, stats["requests"]
 assert stats["builds"]["done"] == 1, stats["builds"]
-assert stats["stats_schema"] == "repro.server.stats.v1", stats["stats_schema"]
+assert stats["stats_schema"] == "repro.server.stats.v2", stats["stats_schema"]
+
+# The codec answers a malformed frame with a prompt 400, not a traceback.
+import socket
+
+with socket.create_connection(("127.0.0.1", int(port)), timeout=30) as sock:
+    sock.sendall(b"POST /v2/batch HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+    reply = sock.makefile("rb").read()
+assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n"), reply[:200]
 
 # /metrics exposition: key series present, counters monotone across scrapes.
 from repro.obs.metrics import parse_exemplars, parse_prometheus_text
@@ -216,8 +225,8 @@ resolved = call("GET", f"/debug/traces/{exemplars[-1]['trace_id']}")
 assert resolved["trace_id"] == exemplars[-1]["trace_id"], resolved
 
 print(
-    f"serve-http OK: transport={stats['transport']}, "
-    f"{stats['requests']['answered']} answered, cold->warm cache hit verified, "
+    f"serve-http OK: {stats['requests']['answered']} answered, "
+    f"cold->warm cache hit verified, Content-Length -5 -> 400, "
     f"background build {build['token']} done, /metrics monotone, "
     f"scrape self-test passed (ring occupancy {ring:g}, "
     f"{len(exemplars)} exemplar(s) parsed and resolved)"

@@ -317,13 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8077, metavar="P", help="bind port (0 = ephemeral)"
     )
     serve_http_parser.add_argument(
-        "--transport",
-        choices=("auto", "asyncio", "thread"),
-        default="auto",
-        help="network transport (auto picks the asyncio codec; answers are "
-        "transport-invariant)",
-    )
-    serve_http_parser.add_argument(
         "--max-inflight",
         type=int,
         default=64,
@@ -337,13 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help="cap on queued background index builds (POST /builds)",
-    )
-    serve_http_parser.add_argument(
-        "--coalesce-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="window in which same-index requests merge into one pass",
     )
     serve_http_parser.add_argument(
         "--retry-after",
@@ -914,10 +900,8 @@ def _cmd_serve_http(args, out) -> int:
         service,
         host=args.host,
         port=args.port,
-        transport=args.transport,
         max_inflight=args.max_inflight,
         build_queue_limit=args.build_queue,
-        coalesce_seconds=args.coalesce_ms / 1000.0,
         retry_after_seconds=args.retry_after,
         default_seed=args.seed,
         trace_capacity=args.trace_capacity,
@@ -930,9 +914,8 @@ def _cmd_serve_http(args, out) -> int:
         f", shards={service.shards}" if isinstance(service, ShardRouter) else ""
     )
     print(
-        f"listening on {handle.url} (transport={handle.transport}, "
-        f"max_inflight={handle.core.max_inflight}, "
-        f"coalesce={handle.core.coalesce_seconds * 1000:.1f} ms{shard_note})",
+        f"listening on {handle.url} "
+        f"(max_inflight={handle.core.max_inflight}{shard_note})",
         file=out,
         flush=True,
     )

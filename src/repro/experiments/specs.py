@@ -1190,8 +1190,6 @@ def run_service_latency_point(
     rate: float = 120.0,
     duration: float = 0.8,
     max_inflight: int = 64,
-    coalesce_seconds: float = 0.002,
-    transport: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One load-generator measurement against an in-process HTTP server.
 
@@ -1199,18 +1197,13 @@ def run_service_latency_point(
     traffic (closed loop: ``concurrency`` saturating workers; open loop:
     fixed-``rate`` arrivals).  Every successful answer is compared
     bit-for-bit against a serial :class:`QueryService` oracle evaluated
-    outside the server — the transport/coalescing machinery must never
+    outside the server — the codec and coalescing machinery must never
     change an answer.
     """
     from ..server import get_json, post_json, run_load, start_server
 
     documents = _latency_documents(workload, n, seed, batch)
-    handle = start_server(
-        QueryService(cache=IndexCache()),
-        transport=transport,
-        max_inflight=max_inflight,
-        coalesce_seconds=coalesce_seconds,
-    )
+    handle = start_server(QueryService(cache=IndexCache()), max_inflight=max_inflight)
     try:
         warm_status, _, warm_body = post_json(handle.url + "/v2/batch", documents[0])
         assert warm_status == 200 and warm_body["errors"] == 0, (
@@ -1251,8 +1244,6 @@ def run_service_latency_point(
     coalescing = stats["coalescing"]
     return {
         "n": n,
-        "transport": handle.transport,
-        "aiohttp_available": bool(stats["aiohttp_available"]),
         "requests": report.requests,
         "ok": report.ok,
         "rejected": report.rejected,
@@ -1299,9 +1290,6 @@ def check_service_latency(points: List[PointResult]) -> None:
             f"p50={row['p50_ms']}, p95={row['p95_ms']}, p99={row['p99_ms']}"
         )
         assert row["qps"] > 0.0, f"zero sustained QPS on {case}"
-        assert row["transport"] in ("asyncio", "thread"), (
-            f"unknown transport {row['transport']!r} on {case}"
-        )
         reference = by_batch.setdefault(row["batch"], row)
         assert row["answers_checksum"] == reference["answers_checksum"], (
             f"answers diverge across arrival patterns at batch={row['batch']}: "
@@ -1340,7 +1328,6 @@ register_spec(
             "rate": 120.0,
             "duration": 0.8,
             "max_inflight": 64,
-            "coalesce_seconds": 0.002,
         },
         quick_grid={"pattern": ["closed", "open"], "batch": [4]},
         quick_fixed={"n": 512, "total": 32, "rate": 80.0, "duration": 0.5},
@@ -1348,7 +1335,6 @@ register_spec(
         columns=[
             "pattern",
             "batch",
-            "transport",
             "ok",
             "rejected",
             "qps",

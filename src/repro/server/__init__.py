@@ -7,29 +7,26 @@ The server package puts a network face on :class:`~repro.service.serving.QuerySe
   per-fingerprint request coalescing, admission control with honest 429 +
   ``Retry-After`` backpressure, background index builds and streaming
   sessions, all serialised onto one service thread;
-* :mod:`~repro.server.transport` — the stdlib transports (``asyncio`` codec
-  and ``ThreadingHTTPServer`` bridge) behind :func:`start_server`;
+* :mod:`~repro.server.transport` — the asyncio HTTP/1.1 codec behind
+  :func:`start_server`;
 * :mod:`~repro.server.loadgen` — the open/closed-loop load generator behind
   the registered ``service_latency`` experiment.
 
 ``python -m repro serve-http`` is the CLI entry point.
 """
 
-from .core import BATCH_SCHEMA_ID, STATS_SCHEMA_ID, ServerCore, aiohttp_available
+from .core import BATCH_SCHEMA_ID, STATS_SCHEMA_ID, ServerCore
 from .loadgen import LoadReport, get_json, post_json, run_load
-from .transport import TRANSPORTS, ServerHandle, detect_transport, start_server
+from .transport import ServerHandle, start_server
 
 __all__ = [
     "BATCH_SCHEMA_ID",
     "STATS_SCHEMA_ID",
     "ServerCore",
-    "aiohttp_available",
     "LoadReport",
     "get_json",
     "post_json",
     "run_load",
-    "TRANSPORTS",
     "ServerHandle",
-    "detect_transport",
     "start_server",
 ]

@@ -2,10 +2,10 @@
 
 :class:`ServerCore` owns everything the network layer should not care
 about: routing, request coalescing, admission control, background index
-builds, streaming sessions and the timing counters behind ``/stats``.  Both
-transports (:mod:`repro.server.transport`) drive the same
-``await core.handle(method, path, body)`` coroutine, so transport choice
-changes socket mechanics only — never an answer.
+builds, streaming sessions and the timing counters behind ``/stats``.  The
+HTTP codec (:mod:`repro.server.transport`) frames each request and drives
+the ``await core.handle(method, path, body)`` coroutine; socket mechanics
+never change an answer.
 
 Concurrency model
 -----------------
@@ -42,7 +42,6 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import functools
-import importlib.util
 import itertools
 import json
 import time
@@ -86,12 +85,11 @@ __all__ = [
     "BATCH_SCHEMA_ID",
     "STATS_SCHEMA_ID",
     "ServerCore",
-    "aiohttp_available",
 ]
 
 BATCH_SCHEMA_ID = "repro.server.batch"
 STATS_SCHEMA_ID = "repro.server.stats"
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _HTTP_REQUESTS = get_registry().counter(
@@ -120,11 +118,6 @@ _MERGED_PASSES = get_registry().counter(
 _COALESCED = get_registry().counter(
     "repro_server_coalesced_requests_total", "Requests that joined an in-flight pass"
 )
-
-
-def aiohttp_available() -> bool:
-    """Whether the aiohttp transport could be used (recorded in artifacts)."""
-    return importlib.util.find_spec("aiohttp") is not None
 
 
 def _swallow_future_error(future: "asyncio.Future") -> None:
@@ -222,10 +215,8 @@ class ServerCore:
         *,
         max_inflight: int = 64,
         build_queue_limit: int = 8,
-        coalesce_seconds: float = 0.002,
         retry_after_seconds: float = 1.0,
         default_seed: Optional[int] = None,
-        transport: str = "asyncio",
         trace_capacity: int = 128,
         sampler: Optional[TraceSampler] = None,
         slo_engine: Optional[SLOEngine] = None,
@@ -249,10 +240,8 @@ class ServerCore:
         self.service_concurrency = max(1, int(getattr(self.service, "concurrency", 1) or 1))
         self.max_inflight = int(max_inflight)
         self.build_queue_limit = int(build_queue_limit)
-        self.coalesce_seconds = float(coalesce_seconds)
         self.retry_after_seconds = float(retry_after_seconds)
         self.default_seed = default_seed
-        self.transport = transport
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._service_lock: Optional[asyncio.Semaphore] = None
@@ -411,7 +400,7 @@ class ServerCore:
         in the extra headers (``/metrics`` returns Prometheus text).
         ``headers`` carries the request headers the core reads
         (``X-Repro-Deadline-Ms``); ``None`` means "no budget header", so
-        direct callers and old transports keep working unchanged.
+        direct callers need not pass it.
         """
         started = time.perf_counter()
         path, _, raw_query = path.partition("?")
@@ -507,10 +496,8 @@ class ServerCore:
 
                 return {
                     "status": "ok",
-                    "transport": self.transport,
                     "version": __version__,
                     "uptime_seconds": time.perf_counter() - self._started,
-                    "aiohttp_available": aiohttp_available(),
                 }
             if path == "/stats":
                 return self.stats()
@@ -586,8 +573,8 @@ class ServerCore:
             gauge_fragment(
                 "repro_build_info",
                 1,
-                "Constant 1; the labels carry version and transport",
-                labels={"version": __version__, "transport": self.transport},
+                "Constant 1; the label carries the version",
+                labels={"version": __version__},
             )
         )
         return merge_snapshots(*parts)
@@ -740,8 +727,7 @@ class ServerCore:
         )
         response = {
             "schema": BATCH_SCHEMA_ID,
-            "version": 1,
-            "transport": self.transport,
+            "version": 2,
             "trace_id": current_trace_id(),
             "defaults": dict(defaults),
             "results": slots,
@@ -774,25 +760,19 @@ class ServerCore:
         # copies the contextvars context).  Joiners record the join only —
         # the pass itself belongs to the trace that started it.
         with span("coalesce", requests=len(requests)) as coalesce_span:
-            if coalesce:
-                pending = self._pending.get(key)
-                if pending is not None and not pending.sealed:
-                    offset = pending.add(requests)
-                    joined = True
-                    self.coalesced_requests += len(requests)
-                    _COALESCED.inc(len(requests))
-                    span_event(
-                        "coalesce_merge", offset=offset, requests=len(requests)
-                    )
-                else:
-                    pending = _PendingPass(key, self._loop)
-                    offset = pending.add(requests)
-                    self._pending[key] = pending
-                    self._spawn(self._run_pass(pending, coalescable=True))
+            pending = self._pending.get(key) if coalesce else None
+            if pending is not None and not pending.sealed:
+                offset = pending.add(requests)
+                joined = True
+                self.coalesced_requests += len(requests)
+                _COALESCED.inc(len(requests))
+                span_event("coalesce_merge", offset=offset, requests=len(requests))
             else:
                 pending = _PendingPass(key, self._loop)
                 offset = pending.add(requests)
-                self._spawn(self._run_pass(pending, coalescable=False))
+                if coalesce:
+                    self._pending[key] = pending
+                self._spawn(self._run_pass(pending))
             if coalesce_span is not None:
                 coalesce_span.set(joined=joined)
 
@@ -878,13 +858,9 @@ class ServerCore:
                 )
         return entries
 
-    async def _run_pass(self, pending: _PendingPass, coalescable: bool) -> None:
+    async def _run_pass(self, pending: _PendingPass) -> None:
         """Seal and execute one pending pass on the service thread."""
         try:
-            if coalescable and self.coalesce_seconds > 0:
-                # A short open window lets near-simultaneous requests join
-                # even when the service lock is free.
-                await asyncio.sleep(self.coalesce_seconds)
             async with self._service_lock:
                 pending.sealed = True
                 if self._pending.get(pending.key) is pending:
@@ -1106,14 +1082,11 @@ class ServerCore:
             "schema": STATS_SCHEMA_ID,
             "version": STATS_SCHEMA_VERSION,
             "stats_schema": f"{STATS_SCHEMA_ID}.v{STATS_SCHEMA_VERSION}",
-            "transport": self.transport,
-            "aiohttp_available": aiohttp_available(),
             "uptime_seconds": time.perf_counter() - self._started,
             "max_inflight": self.max_inflight,
             "service_concurrency": self.service_concurrency,
             "inflight": self.inflight,
             "peak_inflight": self.peak_inflight,
-            "coalesce_seconds": self.coalesce_seconds,
             "build_queue_limit": self.build_queue_limit,
             "internal_errors": self.internal_errors,
             "requests": {

@@ -1,52 +1,38 @@
-"""Network transports for the HTTP front-end.
+"""The HTTP/1.1 edge of the front-end: one asyncio codec.
 
-Two stdlib transports drive the same :class:`~repro.server.core.ServerCore`:
+:func:`start_server` runs ``asyncio.start_server`` on a dedicated event-loop
+thread, so synchronous callers (tests, the CLI, the load generator) can
+start and stop it.  Each connection carries one request and one response,
+sent with ``Connection: close``.  The whole request — head and body — must
+arrive within :data:`_READ_TIMEOUT_S`; a request the codec cannot frame gets
+a prompt status of its own instead of a traceback, a silent close or a hang:
 
-``asyncio`` (default)
-    ``asyncio.start_server`` with a minimal HTTP/1.1 codec, run on a
-    dedicated event-loop thread so :func:`start_server` works from
-    synchronous callers (tests, the CLI, the load generator).
-``thread``
-    ``http.server.ThreadingHTTPServer`` whose handler threads bridge each
-    request into the core's event loop with
-    ``asyncio.run_coroutine_threadsafe`` — the fallback shape for
-    environments where the asyncio codec is undesirable.
-
-aiohttp would be the preferred transport but is not installed in this
-environment; :func:`detect_transport` records that fact so artifacts stay
-honest about what actually served the traffic
-(:func:`repro.server.core.aiohttp_available`).
+=====  ==================================================================
+400    malformed request line, header line or ``Content-Length``; the
+       client closed before the head or the declared body was complete
+408    the request did not arrive within the read deadline
+413    declared body over :data:`_MAX_BODY_BYTES`
+431    request head (request line + headers) over :data:`_MAX_HEAD_BYTES`
+=====  ==================================================================
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Optional
+from http import HTTPStatus
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from .core import ServerCore
+from .core import ServerCore, _HttpError
 
-__all__ = ["TRANSPORTS", "ServerHandle", "detect_transport", "start_server"]
-
-#: The transports this build can actually serve with (stdlib only).
-TRANSPORTS = ("asyncio", "thread")
+__all__ = ["ServerHandle", "start_server"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
-
-
-def detect_transport(requested: Optional[str] = None) -> str:
-    """Resolve a transport name (``None``/``'auto'`` → best available)."""
-    if requested in (None, "auto"):
-        # aiohttp, were it installed, would win here; the stdlib asyncio
-        # codec is the best always-available option.
-        return "asyncio"
-    if requested not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {requested!r}; expected one of {TRANSPORTS + ('auto',)}"
-        )
-    return requested
+_MAX_HEAD_BYTES = 64 * 1024
+#: Seconds a client has to deliver its whole request (head and body).
+_READ_TIMEOUT_S = 10.0
 
 
 @dataclass
@@ -56,7 +42,6 @@ class ServerHandle:
     core: ServerCore
     host: str
     port: int
-    transport: str
     _stop: Callable[[], None] = field(repr=False, default=lambda: None)
 
     @property
@@ -67,70 +52,133 @@ class ServerHandle:
         self._stop()
 
 
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+    """Read one request as ``(method, path, headers, body)``.
+
+    Returns ``None`` when the client closed without sending a byte and
+    raises :class:`~repro.server.core._HttpError` for anything else that is
+    not a complete request.  Header names come back lower-cased.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise _HttpError(HTTPStatus.BAD_REQUEST, "request head cut short") from None
+    except asyncio.LimitOverrunError:  # the reader's limit is _MAX_HEAD_BYTES
+        raise _HttpError(
+            HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+            f"request head over {_MAX_HEAD_BYTES} bytes",
+        ) from None
+    request_line, *header_lines = head[:-4].decode("latin-1").split("\r\n")
+    parts = request_line.split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise _HttpError(HTTPStatus.BAD_REQUEST, f"malformed request line {request_line[:80]!r}")
+    headers: Dict[str, str] = {}
+    for line in header_lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise _HttpError(HTTPStatus.BAD_REQUEST, f"malformed header line {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+
+    raw_length = headers.get("content-length", "0")
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _HttpError(
+            HTTPStatus.BAD_REQUEST,
+            f"Content-Length must be a non-negative integer, got {raw_length[:40]!r}",
+        )
+    # Count digits before calling int(), which refuses strings over ~4300 digits.
+    digits = raw_length.lstrip("0") or "0"
+    if len(digits) > len(str(_MAX_BODY_BYTES)) or int(digits) > _MAX_BODY_BYTES:
+        raise _HttpError(
+            HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
+            f"Content-Length {raw_length[:40]} is over the {_MAX_BODY_BYTES}-byte limit",
+        )
+    try:
+        body = await reader.readexactly(int(digits))
+    except asyncio.IncompleteReadError as exc:
+        raise _HttpError(
+            HTTPStatus.BAD_REQUEST,
+            f"body cut short: {len(exc.partial)} of {exc.expected} bytes",
+        ) from None
+    return parts[0], parts[1], headers, body
+
+
+def _response_bytes(status: int, headers: Dict[str, str], payload: bytes) -> bytes:
+    """One complete response; every path through the codec ends here."""
+    status = HTTPStatus(status)
+    # The handler may override Content-Type (/metrics serves Prometheus
+    # text); everything else is JSON.
+    content_type = headers.pop("Content-Type", "application/json")
+    lines = [
+        f"HTTP/1.1 {status.value} {status.phrase}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(payload)}",
+        "Connection: close",
+    ]
+    lines.extend(f"{name}: {value}" for name, value in headers.items())
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
+
+
+def _error_response(status: int, message: str) -> bytes:
+    """A codec-level error, in the JSON shape the core's errors use."""
+    payload = json.dumps({"error": message, "status": int(status)}).encode("utf-8")
+    return _response_bytes(status, {}, payload)
+
+
 async def _serve_connection(
     core: ServerCore, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
-    """One HTTP/1.1 exchange over the asyncio transport (close after answer)."""
+    """One HTTP/1.1 exchange: read under the deadline, answer, close."""
     try:
-        request_line = await reader.readline()
-        if not request_line:
-            return
         try:
-            method, path, _version = request_line.decode("latin-1").split(None, 2)
-        except ValueError:
-            writer.write(b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
-            await writer.drain()
-            return
-        content_length = 0
-        request_headers: dict = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            request_headers[name.strip().lower()] = value.strip()
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = 0
-        if content_length > _MAX_BODY_BYTES:
-            writer.write(b"HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n")
-            await writer.drain()
-            return
-        body = await reader.readexactly(content_length) if content_length else b""
-        status, extra_headers, payload = await core.handle(
-            method, path, body, headers=request_headers
-        )
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 429: "Too Many Requests",
-                  500: "Internal Server Error",
-                  503: "Service Unavailable",
-                  504: "Gateway Timeout"}.get(status, "OK")
-        # The handler may override Content-Type (/metrics serves Prometheus
-        # text); everything else is JSON.
-        content_type = extra_headers.pop("Content-Type", "application/json")
-        headers = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(payload)}",
-            "Connection: close",
-        ]
-        headers.extend(f"{name}: {value}" for name, value in extra_headers.items())
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + payload)
+            request = await asyncio.wait_for(_read_request(reader), _READ_TIMEOUT_S)
+        except _HttpError as exc:
+            response = _error_response(exc.status, exc.message)
+        except asyncio.TimeoutError:
+            response = _error_response(
+                HTTPStatus.REQUEST_TIMEOUT, f"request not received within {_READ_TIMEOUT_S} s"
+            )
+        else:
+            if request is None:
+                return
+            method, path, request_headers, body = request
+            status, extra_headers, payload = await core.handle(
+                method, path, body, headers=request_headers
+            )
+            response = _response_bytes(status, extra_headers, payload)
+        writer.write(response)
         await writer.drain()
-    except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
-        pass
+    except ConnectionError:
+        pass  # the client went away; nobody is left to answer
     finally:
+        writer.close()
         try:
-            writer.close()
             await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
+        except ConnectionError:
             pass
 
 
-def _start_asyncio(core: ServerCore, host: str, port: int):
-    """Run ``asyncio.start_server`` on a dedicated event-loop thread."""
+def start_server(
+    service: Optional[Any] = None,
+    *,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    **options: Any,
+) -> ServerHandle:
+    """Start an HTTP front-end; returns a :class:`ServerHandle` (``port=0`` ⇒ ephemeral).
+
+    ``options`` go straight to :class:`~repro.server.core.ServerCore`
+    (admission limits, retry hint, default seed, trace sampler, SLO engine,
+    default deadline, alert emitter).  The server runs on a dedicated
+    event-loop thread.
+
+    The caller owns the handle: ``handle.stop()`` closes the listener and
+    shuts the core down; a second call does nothing.
+    """
+    core = ServerCore(service, **options)
     ready = threading.Event()
     bound = {}
     stop_event: dict = {}
@@ -140,7 +188,7 @@ def _start_asyncio(core: ServerCore, host: str, port: int):
         stop_event["event"] = asyncio.Event()
         stop_event["loop"] = asyncio.get_running_loop()
         server = await asyncio.start_server(
-            lambda r, w: _serve_connection(core, r, w), host, port
+            lambda r, w: _serve_connection(core, r, w), host, port, limit=_MAX_HEAD_BYTES
         )
         bound["port"] = server.sockets[0].getsockname()[1]
         ready.set()
@@ -153,7 +201,7 @@ def _start_asyncio(core: ServerCore, host: str, port: int):
     thread = threading.Thread(target=lambda: asyncio.run(main()), daemon=True)
     thread.start()
     if not ready.wait(timeout=30):
-        raise RuntimeError("asyncio transport failed to start within 30s")
+        raise RuntimeError("HTTP server failed to start within 30s")
 
     def stop() -> None:
         loop = stop_event.get("loop")
@@ -162,114 +210,4 @@ def _start_asyncio(core: ServerCore, host: str, port: int):
             loop.call_soon_threadsafe(event.set)
         thread.join(timeout=10)
 
-    return bound["port"], stop
-
-
-def _start_thread(core: ServerCore, host: str, port: int):
-    """ThreadingHTTPServer whose handlers bridge into the core's event loop."""
-    loop = asyncio.new_event_loop()
-    loop_thread = threading.Thread(target=loop.run_forever, daemon=True)
-    loop_thread.start()
-    asyncio.run_coroutine_threadsafe(core.startup(), loop).result(timeout=30)
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def _dispatch(self) -> None:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if length > _MAX_BODY_BYTES:
-                self.send_error(413)
-                return
-            body = self.rfile.read(length) if length else b""
-            request_headers = {
-                name.lower(): value for name, value in self.headers.items()
-            }
-            status, extra_headers, payload = asyncio.run_coroutine_threadsafe(
-                core.handle(self.command, self.path, body, headers=request_headers),
-                loop,
-            ).result(timeout=300)
-            self.send_response(status)
-            content_type = extra_headers.pop("Content-Type", "application/json")
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            for name, value in extra_headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(payload)
-
-        do_GET = do_POST = do_DELETE = _dispatch
-
-        def log_message(self, *args) -> None:  # noqa: D102 — keep stdio clean
-            pass
-
-    httpd = ThreadingHTTPServer((host, port), Handler)
-    httpd.daemon_threads = True
-    serve_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    serve_thread.start()
-
-    def stop() -> None:
-        httpd.shutdown()
-        httpd.server_close()
-        serve_thread.join(timeout=10)
-        asyncio.run_coroutine_threadsafe(core.shutdown(), loop).result(timeout=10)
-        loop.call_soon_threadsafe(loop.stop)
-        loop_thread.join(timeout=10)
-        loop.close()
-
-    return httpd.server_address[1], stop
-
-
-def start_server(
-    service: Optional[Any] = None,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    transport: Optional[str] = None,
-    max_inflight: int = 64,
-    build_queue_limit: int = 8,
-    coalesce_seconds: float = 0.002,
-    retry_after_seconds: float = 1.0,
-    default_seed: Optional[int] = None,
-    trace_capacity: int = 128,
-    sampler: Optional[Any] = None,
-    slo_engine: Optional[Any] = None,
-    default_deadline_ms: Optional[float] = None,
-    alert_emitter: Optional[Any] = None,
-    slo_eval_seconds: float = 5.0,
-) -> ServerHandle:
-    """Start an HTTP front-end; returns a :class:`ServerHandle` (``port=0`` ⇒ ephemeral).
-
-    ``sampler`` (:class:`~repro.obs.sampling.TraceSampler`) and
-    ``slo_engine`` (:class:`~repro.obs.slo.SLOEngine`) configure trace
-    retention and the ``/debug/slo`` objectives; ``None`` means the core's
-    defaults (keep every trace, stock objectives).  ``default_deadline_ms``
-    puts a budget on every batch that does not send its own
-    ``X-Repro-Deadline-Ms``; ``alert_emitter``
-    (:class:`~repro.obs.alerts.AlertEmitter`) turns on the periodic SLO
-    evaluation loop (every ``slo_eval_seconds``) with deduplicated
-    page/ticket emission.
-
-    The caller owns the handle: ``handle.stop()`` tears the transport and the
-    core down (idempotent teardown is the transports' problem, not yours).
-    """
-    resolved = detect_transport(transport)
-    core = ServerCore(
-        service,
-        max_inflight=max_inflight,
-        build_queue_limit=build_queue_limit,
-        coalesce_seconds=coalesce_seconds,
-        retry_after_seconds=retry_after_seconds,
-        default_seed=default_seed,
-        transport=resolved,
-        trace_capacity=trace_capacity,
-        sampler=sampler,
-        slo_engine=slo_engine,
-        default_deadline_ms=default_deadline_ms,
-        alert_emitter=alert_emitter,
-        slo_eval_seconds=slo_eval_seconds,
-    )
-    if resolved == "asyncio":
-        bound_port, stop = _start_asyncio(core, host, port)
-    else:
-        bound_port, stop = _start_thread(core, host, port)
-    return ServerHandle(core=core, host=host, port=bound_port, transport=resolved, _stop=stop)
+    return ServerHandle(core=core, host=host, port=bound["port"], _stop=stop)

@@ -409,7 +409,6 @@ def sampled_server():
     sampler = TraceSampler(0.01, tail_min_seconds=0.25)
     handle = start_server(
         _SlowService(QueryService(), delay=0.4),
-        coalesce_seconds=0.0,
         sampler=sampler,
         trace_capacity=64,
     )
@@ -520,11 +519,10 @@ class TestEndToEndTailRetention:
 
 # ------------------------------------------------- chrome export download
 class TestChromeDownloadHeader:
-    @pytest.mark.parametrize("transport", ("asyncio", "thread"))
-    def test_content_disposition_names_the_trace(self, transport):
+    def test_content_disposition_names_the_trace(self):
         import urllib.request
 
-        handle = start_server(transport=transport, coalesce_seconds=0.0)
+        handle = start_server()
         try:
             status, _, body = post_json(
                 handle.url + "/v2/batch", _doc("dl", seed=3)

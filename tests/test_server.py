@@ -9,25 +9,32 @@ The concurrency harness every later scaling PR regresses against:
   its group only, the server stays up, and the in-flight pass map is
   cleaned (no poisoned fingerprint);
 * backpressure — past ``max_inflight`` the server answers 429 +
-  ``Retry-After``, keeps honest queue stats, and drops nothing silently.
+  ``Retry-After``, keeps honest queue stats, and drops nothing silently;
+* the codec — every malformed, oversized, truncated or stalled request gets
+  one complete 4xx response within the read deadline, never a traceback, a
+  silent close or a hang.
 """
 
 import json
+import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
+from http import HTTPStatus
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.server.transport as transport_module
 import repro.service.serving as serving_module
 from repro.experiments import get_spec, run_experiment
 from repro.server import get_json, post_json, run_load, start_server
 from repro.service import IndexCache, QueryService, parse_requests_document
-
-TRANSPORTS = ("asyncio", "thread")
 
 
 def _wait_build(url, token, timeout=20.0):
@@ -103,19 +110,16 @@ def _serial_answers(documents):
 
 
 # ---------------------------------------------------------------- plumbing
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestRoutes:
-    def test_health_stats_and_errors(self, transport):
-        handle = start_server(transport=transport)
+    def test_health_stats_and_errors(self):
+        handle = start_server()
         try:
             status, _, body = get_json(handle.url + "/healthz")
-            assert status == 200 and body["transport"] == transport
+            assert status == 200 and body["status"] == "ok"
 
             status, _, stats = get_json(handle.url + "/stats")
             assert status == 200
             assert stats["schema"] == "repro.server.stats"
-            assert stats["transport"] == transport
-            assert stats["aiohttp_available"] is False  # not installed here
             assert stats["requests"]["received"] == 0
 
             status, _, body = get_json(handle.url + "/nope")
@@ -144,14 +148,13 @@ class TestRoutes:
         finally:
             handle.stop()
 
-    def test_batch_answers_match_cli_serve_semantics(self, transport):
-        handle = start_server(transport=transport)
+    def test_batch_answers_match_cli_serve_semantics(self):
+        handle = start_server()
         try:
             document = _mixed_documents()[0]
             status, _, body = post_json(handle.url + "/v2/batch", document)
             assert status == 200
-            assert body["schema"] == "repro.server.batch"
-            assert body["transport"] == transport
+            assert body["schema"] == "repro.server.batch" and body["version"] == 2
             assert body["ok"] == 5 and body["errors"] == 0
             (expected,) = _serial_answers([document])
             observed = [entry["result"] for entry in body["results"]]
@@ -169,7 +172,7 @@ class TestConcurrentBitIdentity:
     def test_32_tasks_match_serial_oracle_with_coalescing(self):
         documents = _mixed_documents()
         expected = _serial_answers(documents)
-        handle = start_server(coalesce_seconds=0.02, max_inflight=256)
+        handle = start_server(max_inflight=256)
         try:
             results = [None] * 32
 
@@ -213,7 +216,7 @@ class TestConcurrentBitIdentity:
     def test_closed_loop_load_generator_matches_oracle(self):
         documents = _mixed_documents()[:4]
         expected = _serial_answers(documents)
-        handle = start_server(coalesce_seconds=0.01)
+        handle = start_server()
         try:
             report = run_load(
                 handle.url, documents, pattern="closed", total=24, concurrency=6
@@ -230,7 +233,7 @@ class TestConcurrentBitIdentity:
 # ------------------------------------------------------------- fault injection
 class TestFaultInjection:
     def test_failing_build_is_isolated_and_server_recovers(self, monkeypatch):
-        handle = start_server(coalesce_seconds=0.0)
+        handle = start_server()
         try:
             lis_doc = {
                 "schema": "repro.service.requests",
@@ -271,7 +274,7 @@ class TestFaultInjection:
             handle.stop()
 
     def test_failure_propagates_to_every_coalesced_contributor(self, monkeypatch):
-        handle = start_server(coalesce_seconds=0.05)
+        handle = start_server()
         try:
             def exploding_builder(*args, **kwargs):
                 time.sleep(0.05)
@@ -337,7 +340,7 @@ class TestBackpressure:
             return real_builder(*args, **kwargs)
 
         monkeypatch.setattr(serving_module, "build_lis_index", slow_builder)
-        handle = start_server(max_inflight=2, coalesce_seconds=0.0, retry_after_seconds=0.5)
+        handle = start_server(max_inflight=2, retry_after_seconds=0.5)
         try:
             results = []
             lock = threading.Lock()
@@ -430,6 +433,145 @@ class TestBackpressure:
                 assert _wait_build(handle.url, token)["status"] == "done"
         finally:
             handle.stop()
+
+
+# -------------------------------------------------------------------- codec
+#: Read deadline while the codec tests run, so stalled requests time out fast.
+_TEST_READ_TIMEOUT_S = 0.3
+_KIB = 1024
+_VALID_BODY = json.dumps(
+    {
+        "schema": "repro.service.requests",
+        "version": 2,
+        "requests": [{"op": "lis_length", "id": "q", "sequence": [3, 1, 4, 1, 5, 9, 2, 6]}],
+    }
+).encode("utf-8")
+
+
+def _raw_request(content_length=None, extra_headers=(), body=_VALID_BODY):
+    """A ``POST /v2/batch`` built by hand, so its framing can be broken."""
+    length = len(body) if content_length is None else content_length
+    lines = ["POST /v2/batch HTTP/1.1", "Host: 127.0.0.1", f"Content-Length: {length}"]
+    lines.extend(extra_headers)
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("utf-8") + body
+
+
+def _raw_exchange(port, data, half_close=True):
+    """Send ``data`` on a new connection; ``(reply, seconds until the server closed)``."""
+    started = time.monotonic()
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks), time.monotonic() - started
+
+
+def _status_of_one_response(reply):
+    """The status of ``reply``, which must be exactly one complete HTTP/1.1 response."""
+    head, blank, body = reply.partition(b"\r\n\r\n")
+    assert blank, f"no complete response head in {reply[:200]!r}"
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    version, code, phrase = status_line.split(" ", 2)
+    assert version == "HTTP/1.1", status_line
+    assert phrase == HTTPStatus(int(code)).phrase, status_line
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    assert headers["Connection"] == "close"
+    assert int(headers["Content-Length"]) == len(body), "body is not exactly one response"
+    return int(code)
+
+
+def _assert_no_asyncio_errors(caplog):
+    errors = [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert not errors, [r.getMessage() for r in errors]
+
+
+@pytest.fixture(scope="module")
+def codec_server():
+    handle = start_server()
+    yield handle
+    handle.stop()
+
+
+_CUT_SHORT = _raw_request(content_length=1000, body=_VALID_BODY[:60])
+_CODEC_CASES = {
+    "negative_content_length": (_raw_request(content_length=-5), True, 400),
+    "non_numeric_content_length": (_raw_request(content_length="abc"), True, 400),
+    "body_stalls": (_CUT_SHORT, False, 408),
+    "head_never_ends": (b"POST /v2/batch HTTP/1.1\r\nHost: 127.0.0.1\r\n", False, 408),
+    "body_cut_short_then_eof": (_CUT_SHORT, True, 400),
+    "long_header_line": (_raw_request(extra_headers=["X-Long: " + "a" * 70 * _KIB]), True, 431),
+    "long_request_line": (b"GET /" + b"a" * 70 * _KIB + b" HTTP/1.1\r\n\r\n", True, 431),
+    "head_over_limit": (
+        _raw_request(extra_headers=[f"X-Fill-{k}: " + "a" * 2 * _KIB for k in range(40)]),
+        True,
+        431,
+    ),
+    "garbage_request_line": (b"GARBAGE\r\n\r\n", True, 400),
+    "content_length_over_limit": (_raw_request(content_length=99999999999), True, 413),
+}
+
+
+class TestCodec:
+    @pytest.mark.parametrize("case", sorted(_CODEC_CASES))
+    def test_malformed_request_gets_prompt_status(self, case, codec_server, monkeypatch, caplog):
+        monkeypatch.setattr(transport_module, "_READ_TIMEOUT_S", _TEST_READ_TIMEOUT_S)
+        data, half_close, expected = _CODEC_CASES[case]
+        reply, seconds = _raw_exchange(codec_server.port, data, half_close=half_close)
+        assert _status_of_one_response(reply) == expected, reply[:200]
+        assert seconds < _TEST_READ_TIMEOUT_S + 1.0
+        # The server still answers a valid batch on a new connection.
+        reply, _ = _raw_exchange(codec_server.port, _raw_request())
+        assert _status_of_one_response(reply) == 200
+        _assert_no_asyncio_errors(caplog)
+
+    def test_connection_closed_without_a_request_gets_no_reply(self, codec_server):
+        reply, _ = _raw_exchange(codec_server.port, b"")
+        assert reply == b""
+
+    def test_mutated_framing_fuzz(self, codec_server, monkeypatch, caplog):
+        monkeypatch.setattr(transport_module, "_READ_TIMEOUT_S", _TEST_READ_TIMEOUT_S)
+        allowed = {200, 400, 404, 405, 408, 413, 431}
+        header_line = st.one_of(
+            st.just(""),
+            st.integers(1, 70 * _KIB).map(lambda size: "X-Long: " + "a" * size),
+            st.text(min_size=1, max_size=24).map(lambda text: "X-Text: " + text),
+            st.text(min_size=1, max_size=24),
+        )
+        content_length = st.one_of(
+            st.integers(-(10**12), 10**12), st.text(max_size=24), st.just("9" * 5000)
+        )
+
+        @st.composite
+        def mutated_requests(draw):
+            length = draw(content_length) if draw(st.booleans()) else len(_VALID_BODY)
+            lines = ["POST /v2/batch HTTP/1.1", "Host: 127.0.0.1", f"Content-Length: {length}"]
+            for line in draw(st.lists(header_line, max_size=2)):
+                lines.insert(draw(st.integers(1, len(lines))), line)
+            data = ("\r\n".join(lines) + "\r\n\r\n").encode("utf-8") + _VALID_BODY
+            if draw(st.booleans()):
+                at = draw(st.integers(0, len(data)))
+                data = data[:at] + draw(st.binary(min_size=1, max_size=64)) + data[at:]
+            if draw(st.booleans()):
+                data = data[: draw(st.integers(1, len(data)))]
+            return data
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(data=mutated_requests())
+        def exchange(data):
+            reply, seconds = _raw_exchange(codec_server.port, data)
+            assert _status_of_one_response(reply) in allowed, reply[:200]
+            assert seconds < _TEST_READ_TIMEOUT_S + 1.0
+
+        exchange()
+        reply, _ = _raw_exchange(codec_server.port, _raw_request())
+        assert _status_of_one_response(reply) == 200
+        _assert_no_asyncio_errors(caplog)
 
 
 # ------------------------------------------------------------------- builds
@@ -609,7 +751,6 @@ class TestServiceLatencySpec:
             assert row["ok"] > 0 and row["failed"] == 0
             assert 0 < row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
             assert row["qps"] > 0
-            assert row["aiohttp_available"] is False
 
 
 # ------------------------------------------------------------------ CLI e2e
