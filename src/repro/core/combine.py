@@ -22,9 +22,9 @@ The query structures are fully vectorised across colors: all points live in
 color-major sorted arrays whose values are shifted by ``color * span``, so a
 batch of per-color counts is one ``np.searchsorted`` over color-shifted keys
 — there is no Python loop over colors anywhere on the query path.  Small
-instances instead pre-compute dense per-color distribution tables (int32 —
-counts are bounded by the instance size) and answer every corner by direct
-indexing.
+instances instead pre-compute dense per-color distribution tables (int16 —
+counts are bounded by the point count — built in place) and answer every
+corner by direct indexing.
 
 The same engine is used by the sequential seaweed reference multiplication
 (:mod:`repro.core.seaweed`, with ``H = 2`` or larger fan-in) and by the local
@@ -39,6 +39,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dense import count_dtype
 from .permutation import SubPermutation
 
 __all__ = [
@@ -165,13 +166,18 @@ class ColoredPointSet:
         self._dense_tables: Optional[np.ndarray] = None
         if table_cells <= limit:
             # Dense per-color distribution matrices: tables[x, i, j] = PΣ_{C,x}(i, j).
-            # Counts are bounded by the point count <= min(n_rows, n_cols), so
-            # int32 halves the memory traffic of the two cumsum passes.
-            cell = np.zeros((num_colors, n_rows + 1, n_cols + 1), dtype=np.int32)
+            # Counts are bounded by the point count (<= min(n_rows, n_cols)),
+            # so int16 holds them below 32768 points; the column prefix and
+            # the row suffix both accumulate in place.
+            tables = np.zeros(
+                (num_colors, n_rows + 1, n_cols + 1), dtype=count_dtype(rows.size)
+            )
             if rows.size:
-                np.add.at(cell, (colors, rows, cols + 1), 1)
-            prefix_cols = np.cumsum(cell, axis=2, dtype=np.int32)
-            self._dense_tables = np.cumsum(prefix_cols[:, ::-1, :], axis=1, dtype=np.int32)[:, ::-1, :]
+                np.add.at(tables, (colors, rows, cols + 1), 1)
+            np.cumsum(tables, axis=2, out=tables)
+            suffix = tables[:, ::-1, :]
+            np.cumsum(suffix, axis=1, out=suffix)
+            self._dense_tables = tables
             return
 
         # Color-major sorted structures (one vectorised batch per query, no

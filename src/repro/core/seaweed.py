@@ -7,8 +7,10 @@ through a :class:`~repro.core.plan.MultiplyPlan`:
 * **iterative** (default, :func:`multiply_permutations_iterative`): an
   allocation-lean bottom-up scheduler.  The instance is split top-down into
   an explicit H-ary block tree (the maps ``M_A``/``M_B`` of the paper's
-  Section 3.1); leaves go to the dense oracle; every internal node is then
-  merged bottom-up with the O(m) *staircase merge* kernel
+  Section 3.1); each leaf size is solved by one batched dense product
+  (:func:`~repro.core.dense.multiply_dense_batch`) over all leaves of that
+  size; every internal node is then merged bottom-up with the O(m)
+  *staircase merge* kernel
   (:func:`_staircase_merge_kernel`) — the H-ary level merge decomposes into
   pairwise merges by associativity of ``⊡``.  Per-level point sets stay
   sorted, so each merge builds its rank structures by merging the previous
@@ -42,12 +44,12 @@ afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .combine import combine_colored
-from .dense import multiply_dense
+from .dense import multiply_dense, multiply_dense_batch
 from .permutation import EMPTY, Permutation, SubPermutation
 from .plan import MultiplyPlan, resolve_plan
 from ..obs.metrics import get_registry
@@ -436,10 +438,11 @@ def multiply_permutations_iterative(
     """``P_A ⊡ P_B`` by the allocation-lean bottom-up scheduler.
 
     Phase 1 materialises the H-ary split tree top-down (an explicit worklist,
-    no Python recursion); phase 2 walks the nodes in reverse creation order —
-    children always precede parents — solving leaves with the dense oracle
-    and folding each internal node's children with pairwise staircase merges
-    (a balanced fold: associativity of ``⊡`` makes the bracketing free).
+    no Python recursion) and solves its leaves with one batched dense product
+    per leaf size; phase 2 walks the internal nodes in reverse creation
+    order — children always precede parents — folding each node's children
+    with pairwise staircase merges (a balanced fold: associativity of ``⊡``
+    makes the bracketing free).
     """
     plan = plan if plan is not None else MultiplyPlan()
     n = pa.size
@@ -480,22 +483,28 @@ def multiply_permutations_iterative(
             children[nid].append(cid)
             pending.append((cid, local_a, local_b))
 
-    # ---- phase 2: bottom-up merge (reverse creation order) ----------------
+    # All leaves of one size go through one batched dense product.
     products: List[Optional[_NodeProduct]] = [None] * len(node_maps)
+    leaves_by_size: Dict[int, List[int]] = {}
+    for nid, (a, _) in leaf_inputs.items():
+        leaves_by_size.setdefault(len(a), []).append(nid)
+    for size, nids in leaves_by_size.items():
+        local = multiply_dense_batch(
+            np.stack([leaf_inputs[nid][0] for nid in nids]),
+            np.stack([leaf_inputs[nid][1] for nid in nids]),
+        )
+        ident = np.arange(size, dtype=np.int64)
+        for nid, rtc in zip(nids, local):
+            products[nid] = (ident, rtc, ident)
+
+    # ---- phase 2: bottom-up merge (reverse creation order) ----------------
     for nid in range(len(node_maps) - 1, -1, -1):
         if nid in leaf_inputs:
-            a, b = leaf_inputs[nid]
-            local = multiply_dense(
-                Permutation(a, validate=False), Permutation(b, validate=False)
-            )
-            rtc = np.asarray(local.row_to_col, dtype=np.int64)
-            ident = np.arange(len(rtc), dtype=np.int64)
-            products[nid] = (ident, rtc, ident)
             continue
         parts: List[_NodeProduct] = []
         for cid in children[nid]:
             child_rows, child_cols, child_sorted = products[cid]
-            products[cid] = None  # free as we go: one level resident at a time
+            products[cid] = None  # free each child once its parent consumes it
             row_map, col_map = node_maps[cid]
             parts.append(
                 (row_map[child_rows], col_map[child_cols], col_map[child_sorted])

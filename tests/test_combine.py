@@ -93,17 +93,23 @@ class TestColoredPointSet:
         assert sparse._dense_tables is None
         assert dense.combine() == sparse.combine() == expected
 
-    def test_vectorised_counts_match_bruteforce(self, rng):
+    @pytest.mark.parametrize("num_colors", [1, 4])
+    @pytest.mark.parametrize("dense_table_limit", [None, 0])
+    def test_vectorised_counts_match_bruteforce(self, rng, dense_table_limit, num_colors):
+        # None keeps the in-place dense tables, 0 forces the sparse path.
         n = 40
-        rows, cols, colors, _ = make_colored_instance(n, 4, rng)
-        ps = ColoredPointSet(rows, cols, colors, 4, n, n, dense_table_limit=0)
-        queries_i = rng.integers(0, n + 1, size=25)
-        queries_j = rng.integers(0, n + 1, size=25)
+        rows, cols, colors, _ = make_colored_instance(n, num_colors, rng)
+        ps = ColoredPointSet(
+            rows, cols, colors, num_colors, n, n, dense_table_limit=dense_table_limit
+        )
+        assert (ps._dense_tables is None) == (dense_table_limit == 0)
+        queries_i = np.concatenate([[0, n], rng.integers(0, n + 1, size=25)])
+        queries_j = np.concatenate([[n, 0], rng.integers(0, n + 1, size=25)])
         suffix = ps.row_suffix_counts(queries_i)
         prefix = ps.col_prefix_counts(queries_j)
         dom = ps.dominance_counts(queries_i, queries_j)
         for b in range(len(queries_i)):
-            for x in range(4):
+            for x in range(num_colors):
                 mask = colors == x
                 assert suffix[b, x] == np.count_nonzero(mask & (rows >= queries_i[b]))
                 assert prefix[b, x] == np.count_nonzero(mask & (cols < queries_j[b]))

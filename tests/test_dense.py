@@ -2,17 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Permutation,
     SubPermutation,
     identity_permutation,
     is_distribution_matrix,
+    multiply,
     multiply_dense,
     random_permutation,
     random_subpermutation,
 )
-from repro.core.dense import minplus_distribution_product, subpermutation_from_distribution
+from repro.core.dense import (
+    MINPLUS_CHUNK_CELLS,
+    minplus_distribution_product,
+    multiply_dense_batch,
+    subpermutation_from_distribution,
+)
 
 
 class TestMinPlusProduct:
@@ -59,6 +66,12 @@ class TestDistributionRecovery:
         assert is_distribution_matrix(sp.distribution_matrix())
         assert not is_distribution_matrix(np.array([[1, 0], [0, 0]]))
 
+    def test_empty_density_is_valid(self):
+        # A 1 x 4 distribution matrix has a 0 x 3 density: no points at all.
+        dist = np.zeros((1, 4), dtype=np.int64)
+        assert is_distribution_matrix(dist)
+        assert subpermutation_from_distribution(dist) == SubPermutation.empty(0, 3)
+
 
 class TestMultiplyDense:
     def test_product_is_permutation_when_inputs_are(self, rng):
@@ -94,3 +107,74 @@ class TestMultiplyDense:
         pb = random_subpermutation(6, 4, 2, rng)
         with pytest.raises(ValueError):
             multiply_dense(pa, pb)
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((0, 3), (3, 0)), ((0, 3), (3, 2)), ((2, 3), (3, 0)), ((0, 0), (0, 0))],
+    )
+    def test_empty_products(self, shape_a, shape_b):
+        pa, pb = SubPermutation.empty(*shape_a), SubPermutation.empty(*shape_b)
+        product = multiply_dense(pa, pb)
+        assert product.shape == (shape_a[0], shape_b[1])
+        assert product.num_nonzeros == 0
+        assert product == multiply(pa, pb)
+
+
+def _permutation_stack(num, m, rng):
+    return np.stack([rng.permutation(m) for _ in range(num)])
+
+
+def _assert_batch_matches_oracle(num, m, rng):
+    a, b = _permutation_stack(num, m, rng), _permutation_stack(num, m, rng)
+    got = multiply_dense_batch(a, b)
+    assert got.shape == a.shape
+    for row_a, row_b, row_c in zip(a, b, got):
+        expected = multiply_dense(Permutation(row_a), Permutation(row_b))
+        assert np.array_equal(row_c, expected.row_to_col)
+
+
+class TestMultiplyDenseBatch:
+    def test_stack_spanning_several_chunks(self, rng):
+        # 1000 leaves of m = 64 need more than one chunk of the cell cap
+        # (992 leaves per chunk here), so the last chunk is a partial one.
+        num, m = 1000, 64
+        assert num * (m + 1) ** 2 > MINPLUS_CHUNK_CELLS
+        _assert_batch_matches_oracle(num, m, rng)
+
+    def test_single_leaf_cube_over_the_cap(self, rng):
+        m = 170
+        assert (m + 1) ** 3 > MINPLUS_CHUNK_CELLS
+        _assert_batch_matches_oracle(2, m, rng)
+
+    def test_invalid_stacks_rejected(self, rng):
+        a = _permutation_stack(3, 5, rng)
+        b = _permutation_stack(3, 5, rng)
+        duplicated = a.copy()
+        duplicated[1, 0] = duplicated[1, 1]
+        with pytest.raises(ValueError):
+            multiply_dense_batch(duplicated, b)
+        with pytest.raises(ValueError):
+            multiply_dense_batch(a, duplicated)
+        out_of_range = a.copy()
+        out_of_range[2, 3] = 5
+        with pytest.raises(ValueError):
+            multiply_dense_batch(out_of_range, b)
+        with pytest.raises(ValueError):
+            multiply_dense_batch(a, b[:, :4])
+        with pytest.raises(ValueError):
+            multiply_dense_batch(a[0], b[0])
+
+    def test_empty_stacks(self):
+        assert multiply_dense_batch(np.empty((0, 4)), np.empty((0, 4))).shape == (0, 4)
+        assert multiply_dense_batch(np.empty((3, 0)), np.empty((3, 0))).shape == (3, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=100_000),
+)
+def test_batch_matches_per_pair_oracle_property(num, m, seed):
+    """Property: each row of the batched product equals multiply_dense."""
+    _assert_batch_matches_oracle(num, m, np.random.default_rng(seed))

@@ -20,12 +20,15 @@ from repro.core import (
     random_subpermutation,
     resolve_plan,
 )
+from repro.core import seaweed as seaweed_module
+from repro.core.dense import multiply_dense_batch
 from repro.core.seaweed import (
     block_boundaries,
     pad_to_permutations,
     split_into_blocks,
     strip_padding,
 )
+from repro.obs.metrics import get_registry
 
 
 class TestSplit:
@@ -177,6 +180,27 @@ class TestIterativeEngine:
             assert got == multiply_permutations_reference(pa, pb, base_size=4)
         assert arena.nbytes > 0
 
+    @pytest.mark.parametrize(
+        "n, base_size, batches", [(1000, 32, [(24, 31), (8, 32)]), (300, 200, [(2, 150)])]
+    )
+    def test_batched_leaves_match_reference(self, rng, monkeypatch, n, base_size, batches):
+        # One batched dense product per leaf size: n = 1000 at base_size 32
+        # leaves blocks of 31 and 32, n = 300 at base_size 200 two of 150.
+        calls = []
+
+        def recording_batch(a, b):
+            calls.append(a.shape)
+            return multiply_dense_batch(a, b)
+
+        monkeypatch.setattr(seaweed_module, "multiply_dense_batch", recording_batch)
+        pa, pb = random_permutation(n, rng), random_permutation(n, rng)
+        counter = get_registry().counter("repro_multiply_leaves_total")
+        before = counter.value()
+        got = multiply_permutations_iterative(pa, pb, MultiplyPlan(base_size=base_size))
+        assert sorted(calls, key=lambda shape: shape[1]) == batches
+        assert counter.value() - before == sum(num for num, _ in batches)
+        assert got == multiply_permutations_reference(pa, pb, base_size=base_size)
+
     def test_subpermutations_match_reference_engine(self, rng):
         reference_plan = MultiplyPlan(engine="reference", base_size=4)
         iterative_plan = MultiplyPlan(base_size=4)
@@ -266,9 +290,9 @@ def test_multiply_matches_dense_property(n, fanin, seed):
 @settings(max_examples=30, deadline=None)
 @given(
     dims=st.tuples(
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=16),
+        st.integers(min_value=0, max_value=16),
+        st.integers(min_value=0, max_value=16),
     ),
     seed=st.integers(min_value=0, max_value=100_000),
 )
@@ -301,9 +325,9 @@ def test_iterative_engine_bit_identity_property(n, fanin, base_size, seed):
 @settings(max_examples=30, deadline=None)
 @given(
     dims=st.tuples(
-        st.integers(min_value=1, max_value=14),
-        st.integers(min_value=1, max_value=14),
-        st.integers(min_value=1, max_value=14),
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=0, max_value=14),
     ),
     fanin=st.integers(min_value=2, max_value=6),
     seed=st.integers(min_value=0, max_value=100_000),
