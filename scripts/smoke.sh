@@ -8,8 +8,8 @@
 # under traffic, counters monotone, gauges within bounds, exemplar
 # annotations parsed and resolved via /debug/traces -> teardown even on
 # failure), a sharded serve-http cycle (--shards 2: health
-# poll, cold/warm POST, per-shard /stats assertions reconciled against the
-# per-shard /metrics counters, trap teardown), a sampled serve-http cycle
+# poll, cold/warm POST, per-shard /stats assertions, the per-shard /metrics
+# counters carrying the same values, trap teardown), a sampled serve-http cycle
 # (1% head rate: sampler counters tick, /debug/slo reconciles with /stats,
 # an SLO burn-rate artifact is recorded on shutdown and validated, and the
 # --slo-history JSONL persists window rows across the restart boundary), a
@@ -144,7 +144,7 @@ assert record["status"] == "done", record
 stats = call("GET", "/stats")
 assert stats["requests"]["answered"] == 4, stats["requests"]
 assert stats["builds"]["done"] == 1, stats["builds"]
-assert stats["stats_schema"] == "repro.server.stats.v2", stats["stats_schema"]
+assert stats["stats_schema"] == "repro.server.stats.v3", stats["stats_schema"]
 
 # The codec answers a malformed frame with a prompt 400, not a traceback.
 import socket
@@ -297,7 +297,8 @@ assert service["restarts"] == 0, service["restarts"]
 timings = service["router_timings"]
 assert timings["shard_exec"]["total_seconds"] > 0.0, timings
 
-# Per-shard /metrics counters reconcile exactly with the /stats JSON.
+# The per-shard counters reach /metrics with the values /stats reports
+# (both read the router's registry).
 from repro.obs.metrics import parse_prometheus_text
 
 with urllib.request.urlopen(base + "/metrics", timeout=30) as response:
@@ -319,7 +320,7 @@ assert {"edge", "coalesce", "route", "worker", "answer"} <= names, names
 print(
     f"sharded serve-http OK: workers={service['workers']}, "
     f"per-shard requests={service['load']['per_shard_requests']} "
-    f"(reconciled with /metrics), trace {trace_id} spans={sorted(names)}, "
+    f"(same on /metrics), trace {trace_id} spans={sorted(names)}, "
     f"cold->warm shard-cache hit verified"
 )
 EOF
@@ -493,7 +494,7 @@ assert set(resilience["breakers"]) == {"0", "1"}, resilience["breakers"]
 # Worker-side fault fires reach the merged /metrics exposition through the
 # per-shard registry snapshots (a killed worker's counts die with it — the
 # delay rule fires in every incarnation so survivors always carry one),
-# and the per-shard hang series reconciles with the /stats aggregate.
+# and the per-shard hang series reaches /metrics with the /stats total.
 with urllib.request.urlopen(base + "/metrics", timeout=30) as response:
     text = response.read().decode("utf-8")
 assert "repro_breaker_state" in text, "breaker state gauge missing from /metrics"
@@ -537,7 +538,7 @@ print(
     f"chaos serve-http OK: {answered} requests answered under seeded faults "
     f"(restarts={service['restarts']}, hangs={resilience['hangs']:g}, "
     f"faults fired={fired:g}), non-degraded answers oracle-identical, "
-    f"/metrics reconciles with /stats"
+    f"hang series on /metrics"
 )
 EOF
 kill -INT "${SERVER_PID}"

@@ -127,6 +127,60 @@ def _add_plan_arguments(parser) -> None:
     )
 
 
+def _add_service_arguments(parser) -> None:
+    """The serving flags ``serve`` and ``serve-http`` share.
+
+    Each defaults to ``None`` so :func:`_build_cli_service` can fall back to
+    the request file's ``defaults`` (``serve``) and then to the built-in
+    defaults.
+    """
+    parser.add_argument(
+        "--mode",
+        choices=("sequential", "mpc"),
+        default=None,
+        help="index build path (default: sequential, or the 'mode' a serve "
+        "request file's defaults set)",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=backend_names(),
+        default=None,
+        help="execution backend for MPC index builds (wall-clock only)",
+    )
+    parser.add_argument(
+        "--delta",
+        type=float,
+        default=None,
+        help="MPC scalability parameter (default: 0.5, or the 'delta' a serve "
+        "request file's defaults set)",
+    )
+    parser.add_argument(
+        "--cache-bytes", type=int, default=None, metavar="N", help="index cache budget in bytes"
+    )
+    parser.add_argument(
+        "--spill", default=None, metavar="DIR", help="spill evicted indexes to .npz files in DIR"
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        metavar="S",
+        help="default seed for named-workload targets that omit 'seed' "
+        "(keeps recorded artifacts reproducible from the CLI line alone)",
+    )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=0,
+        metavar="N",
+        help="consistent-hash index fingerprints across N sharded worker "
+        "processes, each with a private index cache (0 = single-process "
+        "service; answers are shard-invariant and /stats gains a per-shard "
+        "section)",
+    )
+    _add_plan_arguments(parser)
+
+
 def _resolve_cli_plan(args, *, required: bool = False):
     """The plan implied by the CLI knobs (``None`` when nothing was asked)."""
     from ..core.plan import resolve_plan
@@ -136,14 +190,25 @@ def _resolve_cli_plan(args, *, required: bool = False):
     return resolve_plan(args.plan, fanin=args.fanin, base_size=args.base_size)
 
 
-def _build_cli_service(args, *, mode, delta, backend, cache_bytes, spill_dir):
+def _build_cli_service(args, defaults: Dict[str, Any]):
     """A single-process service, or — with ``--shards N`` — a shard router.
 
-    The router receives the *raw* plan spec (not a resolved plan): each
-    worker resolves it once at its own startup, so ``--plan auto``
-    calibrates once per worker process, never in the parent and never per
-    request.
+    Each serving flag left unset falls back to ``defaults`` (a request
+    file's ``defaults`` block; empty for ``serve-http``), then to sequential
+    mode, delta 0.5, no backend, ``DEFAULT_CACHE_BYTES`` and no spill.  The
+    router receives the *raw* plan spec (not a resolved plan): each worker
+    resolves it once at its own startup, so ``--plan auto`` calibrates once
+    per worker process, never in the parent and never per request.
     """
+    mode = args.mode if args.mode is not None else str(defaults.get("mode", "sequential"))
+    delta = args.delta if args.delta is not None else float(defaults.get("delta", 0.5))
+    backend = args.backend if args.backend is not None else defaults.get("backend")
+    cache_bytes = (
+        args.cache_bytes
+        if args.cache_bytes is not None
+        else int(defaults.get("cache_bytes", DEFAULT_CACHE_BYTES))
+    )
+    spill_dir = args.spill if args.spill is not None else defaults.get("spill_dir")
     fault_plan = None
     fault_spec = getattr(args, "fault_plan", None) or os.environ.get("REPRO_FAULT_PLAN")
     if fault_spec:
@@ -151,7 +216,7 @@ def _build_cli_service(args, *, mode, delta, backend, cache_bytes, spill_dir):
 
         fault_plan = plan_from_spec(fault_spec)
     worker_timeout_ms = getattr(args, "worker_timeout_ms", None)
-    shards = int(getattr(args, "shards", 0) or 0)
+    shards = int(args.shards or 0)
     if shards > 0:
         extra: Dict[str, Any] = {}
         if worker_timeout_ms is not None:
@@ -270,43 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="submit the batch K times (re-submissions hit the index cache)",
     )
-    serve_parser.add_argument(
-        "--mode",
-        choices=("sequential", "mpc"),
-        default=None,
-        help="index build path (default: the request file's 'defaults', else sequential)",
-    )
-    serve_parser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default=None,
-        help="execution backend for MPC index builds (wall-clock only)",
-    )
-    serve_parser.add_argument("--delta", type=float, default=None, help="MPC scalability parameter")
-    serve_parser.add_argument(
-        "--cache-bytes", type=int, default=None, metavar="N", help="index cache budget in bytes"
-    )
-    serve_parser.add_argument(
-        "--spill", default=None, metavar="DIR", help="spill evicted indexes to .npz files in DIR"
-    )
-    serve_parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="S",
-        help="default seed for named-workload targets that omit 'seed' "
-        "(keeps recorded artifacts reproducible from the CLI line alone)",
-    )
-    serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="consistent-hash the batch across N sharded worker processes, "
-        "each with a private index cache (0 = single-process service; "
-        "answers are shard-invariant)",
-    )
-    _add_plan_arguments(serve_parser)
+    _add_service_arguments(serve_parser)
 
     serve_http_parser = sub.add_parser(
         "serve-http",
@@ -339,46 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="Retry-After hint (seconds) on 429 responses",
     )
     serve_http_parser.add_argument(
-        "--mode",
-        choices=("sequential", "mpc"),
-        default="sequential",
-        help="index build path",
-    )
-    serve_http_parser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default=None,
-        help="execution backend for MPC index builds (wall-clock only)",
-    )
-    serve_http_parser.add_argument("--delta", type=float, default=0.5, help="MPC scalability parameter")
-    serve_http_parser.add_argument(
-        "--cache-bytes", type=int, default=None, metavar="N", help="index cache budget in bytes"
-    )
-    serve_http_parser.add_argument(
-        "--spill", default=None, metavar="DIR", help="spill evicted indexes to .npz files in DIR"
-    )
-    serve_http_parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="S",
-        help="default seed for named-workload targets that omit 'seed'",
-    )
-    serve_http_parser.add_argument(
         "--duration",
         type=float,
         default=None,
         metavar="S",
         help="serve for S seconds then exit (default: until Ctrl-C)",
-    )
-    serve_http_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="route index fingerprints across N sharded worker processes "
-        "(0 = single-process service; answers are shard-invariant and "
-        "/stats gains a per-shard section)",
     )
     serve_http_parser.add_argument(
         "--trace-head-rate",
@@ -483,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker.dispatch, pipe.send, pipe.recv, cache.spill_load, "
         "index.build; kinds: crash, hang, delay, error, corrupt",
     )
-    _add_plan_arguments(serve_http_parser)
+    _add_service_arguments(serve_http_parser)
 
     stream_parser = sub.add_parser(
         "stream",
@@ -788,24 +782,7 @@ def _cmd_serve(args, out) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read requests file {args.requests}: {exc}") from None
     defaults, requests = parse_requests_document(raw, default_seed=args.seed)
-
-    mode = args.mode if args.mode is not None else str(defaults.get("mode", "sequential"))
-    delta = args.delta if args.delta is not None else float(defaults.get("delta", 0.5))
-    backend = args.backend if args.backend is not None else defaults.get("backend")
-    cache_bytes = (
-        args.cache_bytes
-        if args.cache_bytes is not None
-        else int(defaults.get("cache_bytes", DEFAULT_CACHE_BYTES))
-    )
-    spill_dir = args.spill if args.spill is not None else defaults.get("spill_dir")
-    service = _build_cli_service(
-        args,
-        mode=mode,
-        delta=delta,
-        backend=backend,
-        cache_bytes=cache_bytes,
-        spill_dir=spill_dir,
-    )
+    service = _build_cli_service(args, defaults)
 
     try:
         repeat = max(1, int(args.repeat))
@@ -866,14 +843,7 @@ def _cmd_serve_http(args, out) -> int:
     from ..obs.slo import SLOEngine, objectives_from_config
     from ..server import start_server
 
-    service = _build_cli_service(
-        args,
-        mode=args.mode,
-        delta=args.delta,
-        backend=args.backend,
-        cache_bytes=args.cache_bytes if args.cache_bytes is not None else DEFAULT_CACHE_BYTES,
-        spill_dir=args.spill,
-    )
+    service = _build_cli_service(args, {})
     sampler = TraceSampler(
         args.trace_head_rate,
         tail_quantile=args.trace_tail_quantile,

@@ -16,15 +16,20 @@ Design constraints, in order:
    the merge).
 
 The module-level default registry (:func:`get_registry`) is what the
-instrumented subsystems record into; every process — the server process and
-each shard worker — has its own.
+process-wide subsystems (service, cache, multiply engine, sampler) record
+into; every process — the server process and each shard worker — has its
+own.  A :class:`~repro.server.core.ServerCore` and a
+:class:`~repro.service.sharding.ShardRouter` each own a private
+:class:`MetricsRegistry` instead, so two servers in one process never mix
+their counts; their ``stats()`` documents are views over those registries
+read through :func:`snapshot_value` and :func:`snapshot_timing`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -38,6 +43,8 @@ __all__ = [
     "merge_snapshots",
     "relabel_snapshot",
     "gauge_fragment",
+    "snapshot_value",
+    "snapshot_timing",
     "render_prometheus",
     "parse_prometheus_text",
     "parse_exemplars",
@@ -148,7 +155,10 @@ class Histogram(_Metric):
             raise ValueError(f"histogram {name} needs strictly increasing bounds")
         self.bounds = bounds
 
-    def observe(self, value: float, exemplar: Optional[str] = None, **labels: Any) -> None:
+    def observe(
+        self, value: float, exemplar: Optional[str] = None, count: int = 1, **labels: Any
+    ) -> None:
+        """Record ``count`` observations of ``value`` (e.g. one per request of a pass)."""
         value = float(value)
         key = _label_key(self.labelnames, labels)
         # Binary search for the first bound >= value (index == len(bounds)
@@ -165,9 +175,9 @@ class Histogram(_Metric):
             if sample is None:
                 sample = {"counts": [0] * (len(self.bounds) + 1), "sum": 0.0, "count": 0}
                 self._samples[key] = sample
-            sample["counts"][lo] += 1
-            sample["sum"] += value
-            sample["count"] += 1
+            sample["counts"][lo] += count
+            sample["sum"] += value * count
+            sample["count"] += count
             if exemplar is not None:
                 # Keyed by str(bucket index) so the snapshot shape survives a
                 # JSON round-trip unchanged (JSON object keys are strings).
@@ -234,21 +244,20 @@ def histogram_quantile(q: float, bounds: Sequence[float], counts: Sequence[int])
 
 
 class MetricsRegistry:
-    """A process-local, thread-safe collection of named metrics.
+    """A thread-safe collection of named metrics.
 
     ``counter``/``gauge``/``histogram`` are get-or-create: instrumenting
-    modules call them at import time and every call site in the process
-    shares one metric object.  ``collectors`` are zero-argument callables
-    returning snapshot fragments, evaluated at :meth:`snapshot` time — used
-    for values that already live elsewhere (e.g. the shard router's
-    per-worker routing counters), so the exposition *reconciles exactly*
-    with ``/stats`` instead of drifting in a parallel count.
+    modules call them at import time and every call site sharing a
+    registry shares one metric object.  The process-global registry
+    (:func:`get_registry`) serves module-level instrumentation; serving
+    objects that must keep their counts apart (one server core or shard
+    router per experiment grid point) construct their own and merge its
+    :meth:`snapshot` into the exposition.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
-        self._collectors: List[Callable[[], Dict[str, Any]]] = []
 
     # -------------------------------------------------------------- creation
     def _get_or_create(self, cls, name: str, help_text: str, labelnames, **kwargs) -> Any:
@@ -280,31 +289,18 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, help_text, labelnames, bounds=bounds)
 
-    def register_collector(self, collector: Callable[[], Dict[str, Any]]) -> None:
-        with self._lock:
-            self._collectors.append(collector)
-
-    def unregister_collector(self, collector: Callable[[], Dict[str, Any]]) -> None:
-        with self._lock:
-            try:
-                self._collectors.remove(collector)
-            except ValueError:
-                pass
-
     def reset(self) -> None:
-        """Zero every metric in place and drop all collectors (fork hygiene).
+        """Zero every metric in place (fork hygiene).
 
         A forked child inherits a byte-copy of this registry — live counter
-        values and the parent's registered collectors included, which would
-        double-count once the child's snapshot is merged back into the
-        parent's exposition.  Clearing the sample *values* (not the metric
-        objects) keeps every module-level metric reference valid while the
-        child's counts start from zero.
+        values included, which would double-count once the child's snapshot
+        is merged back into the parent's exposition.  Clearing the sample
+        *values* (not the metric objects) keeps every module-level metric
+        reference valid while the child's counts start from zero.
         """
         with self._lock:
             for metric in self._metrics.values():
                 metric._samples.clear()
-            self._collectors.clear()
 
     # -------------------------------------------------------------- snapshot
     def snapshot(self) -> Dict[str, Any]:
@@ -317,7 +313,6 @@ class MetricsRegistry:
         """
         with self._lock:
             metrics = list(self._metrics.values())
-            collectors = list(self._collectors)
         out: Dict[str, Any] = {}
         for metric in metrics:
             entry: Dict[str, Any] = {"type": metric.kind, "help": metric.help, "samples": []}
@@ -329,14 +324,6 @@ class MetricsRegistry:
                 labels_kv = [[name, val] for name, val in zip(metric.labelnames, key)]
                 entry["samples"].append([labels_kv, value])
             out[metric.name] = entry
-        fragments = []
-        for collector in collectors:
-            try:
-                fragments.append(collector())
-            except Exception:  # noqa: BLE001 — a broken collector must not kill /metrics
-                continue
-        if fragments:
-            out = merge_snapshots(out, *fragments)
         return out
 
 
@@ -452,6 +439,41 @@ def gauge_fragment(
     """A one-gauge snapshot fragment (for point-in-time values like uptime)."""
     labels_kv = [[str(k), str(v)] for k, v in (labels or {}).items()]
     return {name: {"type": "gauge", "help": help_text, "samples": [[labels_kv, float(value)]]}}
+
+
+def snapshot_value(snapshot: Dict[str, Any], name: str, **labels: Any) -> float:
+    """The sum of a counter or gauge's samples whose labels include ``labels``.
+
+    ``0`` when the series is absent.  ``snapshot_value(snap,
+    "repro_shard_requests_total")`` totals every shard;
+    ``shard="1"`` picks one.
+    """
+    want = {str(k): str(v) for k, v in labels.items()}.items()
+    return sum(
+        value
+        for labels_kv, value in snapshot.get(name, {}).get("samples", ())
+        if want <= {str(k): str(v) for k, v in labels_kv}.items()
+    )
+
+
+def snapshot_timing(snapshot: Dict[str, Any], name: str) -> Dict[str, float]:
+    """``{count, total_seconds, mean_seconds, p99_seconds}`` of a histogram.
+
+    Every sample of the series is folded in (all label sets, all merged
+    processes).  ``p99_seconds`` is the :func:`histogram_quantile` estimate,
+    exact up to one bucket width.
+    """
+    entry = snapshot.get(name)
+    samples = [value for _, value in entry["samples"]] if entry is not None else []
+    count = sum(sample["count"] for sample in samples)
+    total = float(sum(sample["sum"] for sample in samples))
+    buckets = [sum(column) for column in zip(*(sample["counts"] for sample in samples))]
+    return {
+        "count": count,
+        "total_seconds": total,
+        "mean_seconds": total / count if count else 0.0,
+        "p99_seconds": histogram_quantile(0.99, entry["bounds"], buckets) if count else 0.0,
+    }
 
 
 # --------------------------------------------------------------- exposition

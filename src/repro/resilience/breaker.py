@@ -12,8 +12,9 @@ probe failure re-opens it and restarts the cooldown.
 
 The clock is injectable and every transition fires an ``on_transition``
 callback, which the router wires to the
-``repro_breaker_transitions_total`` counter and a span event — the state
-machine itself stays import-cycle-free of the metrics registry.
+``repro_breaker_transitions_total`` counter, the ``repro_breaker_state``
+gauge and a span event — the state machine itself stays import-cycle-free
+of the metrics registry.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 :class:`ServerCore` owns everything the network layer should not care
 about: routing, request coalescing, admission control, background index
-builds, streaming sessions and the timing counters behind ``/stats``.  The
-HTTP codec (:mod:`repro.server.transport`) frames each request and drives
-the ``await core.handle(method, path, body)`` coroutine; socket mechanics
-never change an answer.
+builds, streaming sessions, and the per-core metrics registry that both
+``/stats`` and ``/metrics`` read.  The HTTP codec
+(:mod:`repro.server.transport`) frames each request and drives the
+``await core.handle(method, path, body)`` coroutine; socket mechanics never
+change an answer.
 
 Concurrency model
 -----------------
@@ -53,11 +54,14 @@ import numpy as np
 
 from ..analysis.serialize import to_jsonable
 from ..obs.metrics import (
+    MetricsRegistry,
     exemplars_from_snapshot,
     gauge_fragment,
     get_registry,
     merge_snapshots,
     render_prometheus,
+    snapshot_timing,
+    snapshot_value,
 )
 from ..obs.alerts import AlertEmitter
 from ..obs.sampling import TraceSampler
@@ -89,35 +93,12 @@ __all__ = [
 
 BATCH_SCHEMA_ID = "repro.server.batch"
 STATS_SCHEMA_ID = "repro.server.stats"
-STATS_SCHEMA_VERSION = 2
+STATS_SCHEMA_VERSION = 3
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-_HTTP_REQUESTS = get_registry().counter(
-    "repro_http_requests_total", "HTTP requests by method, route and status",
-    ("method", "route", "status"),
-)
-_HTTP_SECONDS = get_registry().histogram(
-    "repro_http_request_seconds", "End-to-end HTTP request handling time", ("route",)
-)
-_QUEUE_WAIT_SECONDS = get_registry().histogram(
-    "repro_server_queue_wait_seconds",
-    "Time a batch request spent before its pass started",
-)
-_ANSWER_SECONDS = get_registry().histogram(
-    "repro_server_answer_seconds", "Vectorised pass time attributed to batch requests"
-)
-_REJECTIONS = get_registry().counter(
-    "repro_server_rejections_total", "Requests rejected by admission control", ("reason",)
-)
-_PASSES = get_registry().counter(
-    "repro_server_passes_total", "Vectorised passes run by the coalescer"
-)
-_MERGED_PASSES = get_registry().counter(
-    "repro_server_merged_passes_total", "Passes that served more than one contributor"
-)
-_COALESCED = get_registry().counter(
-    "repro_server_coalesced_requests_total", "Requests that joined an in-flight pass"
-)
+#: Period of the background SLO evaluation that feeds the alert emitter
+#: and the SLO history file (seconds).
+_SLO_EVAL_SECONDS = 5.0
 
 
 def _swallow_future_error(future: "asyncio.Future") -> None:
@@ -155,31 +136,6 @@ class _JsonResponse:
         self.payload = payload
 
 
-class _Timing:
-    """Streaming aggregate of one latency component (count / total / max)."""
-
-    __slots__ = ("count", "total", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def add(self, seconds: float, count: int = 1) -> None:
-        self.count += int(count)
-        self.total += float(seconds)
-        self.max = max(self.max, float(seconds))
-
-    def summary(self) -> Dict[str, float]:
-        mean = self.total / self.count if self.count else 0.0
-        return {
-            "count": self.count,
-            "total_seconds": self.total,
-            "mean_seconds": mean,
-            "max_seconds": self.max,
-        }
-
-
 class _PendingPass:
     """One in-flight vectorised pass that concurrent requests may join.
 
@@ -207,7 +163,15 @@ class _PendingPass:
 
 
 class ServerCore:
-    """Routing, coalescing, backpressure and stats for the HTTP front-end."""
+    """Routing, coalescing, backpressure and stats for the HTTP front-end.
+
+    Every count and timing the core keeps lives in :attr:`metrics`, a
+    private :class:`~repro.obs.metrics.MetricsRegistry`: :meth:`stats` is a
+    view over the merged :meth:`metrics_snapshot`, the same snapshot
+    ``/metrics`` renders, so the two surfaces cannot disagree.  Only control
+    state (``inflight``, the pending-pass map, builds and sessions) stays in
+    plain attributes.
+    """
 
     def __init__(
         self,
@@ -222,7 +186,6 @@ class ServerCore:
         slo_engine: Optional[SLOEngine] = None,
         default_deadline_ms: Optional[float] = None,
         alert_emitter: Optional[AlertEmitter] = None,
-        slo_eval_seconds: float = 5.0,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be positive, got {max_inflight}")
@@ -232,8 +195,6 @@ class ServerCore:
             raise ValueError(
                 f"default_deadline_ms must be positive, got {default_deadline_ms}"
             )
-        if slo_eval_seconds <= 0:
-            raise ValueError(f"slo_eval_seconds must be positive, got {slo_eval_seconds}")
         self.service = service if service is not None else QueryService()
         # Shard routers advertise how many calls may run at once; plain
         # services default to 1 and keep the historical strict serialisation.
@@ -272,31 +233,62 @@ class ServerCore:
         #: the historical unbounded behaviour.
         self.default_deadline_ms = default_deadline_ms
         #: Deduplicated page/ticket emission; when set, a background loop
-        #: evaluates the SLO engine every ``slo_eval_seconds`` and feeds
+        #: evaluates the SLO engine every ``_SLO_EVAL_SECONDS`` and feeds
         #: the verdicts through the emitter.
         self.alert_emitter = alert_emitter
-        self.slo_eval_seconds = float(slo_eval_seconds)
 
         self.inflight = 0
         self.peak_inflight = 0
-        self.requests_received = 0
-        self.requests_answered = 0
-        self.requests_rejected = 0
-        self.requests_failed = 0
-        self.parse_errors = 0
-        self.passes = 0
-        self.merged_passes = 0
-        self.coalesced_requests = 0
-        self.failed_passes = 0
-        self.builds_started = 0
-        self.builds_done = 0
-        self.builds_failed = 0
-        self.internal_errors = 0
-        self.deadline_expired = 0
-        self.degraded_answers = 0
-        self.queue_wait = _Timing()
-        self.answer_timing = _Timing()
-        self.build_wait = _Timing()
+        #: This core's counts and timings (see the class docstring).  Per
+        #: instance: the latency experiments build one server per grid point
+        #: in one process and read each one's counts.
+        self.metrics = MetricsRegistry()
+        counter, histogram = self.metrics.counter, self.metrics.histogram
+        self._http_requests = counter(
+            "repro_http_requests_total", "HTTP requests by method, route and status",
+            ("method", "route", "status"),
+        )
+        self._http_seconds = histogram(
+            "repro_http_request_seconds", "End-to-end HTTP request handling time", ("route",)
+        )
+        self._received = counter("repro_server_requests_received_total", "Batch requests received")
+        self._outcomes = counter(
+            "repro_server_requests_total", "Batch requests answered or failed", ("outcome",)
+        )
+        self._parse_errors = counter(
+            "repro_server_parse_errors_total", "Batch requests that failed to parse"
+        )
+        self._rejections = counter(
+            "repro_server_rejections_total", "Requests rejected by admission control", ("reason",)
+        )
+        self._deadline_expired = counter(
+            "repro_server_deadline_expired_total", "Batch requests whose deadline expired"
+        )
+        self._queue_wait = histogram(
+            "repro_server_queue_wait_seconds", "Time a batch request spent before its pass started"
+        )
+        self._answer_seconds = histogram(
+            "repro_server_answer_seconds", "Vectorised pass time attributed to batch requests"
+        )
+        self._build_wait = histogram(
+            "repro_server_build_wait_seconds", "Time a background build waited for the service"
+        )
+        self._passes = counter(
+            "repro_server_passes_total", "Vectorised passes run by the coalescer"
+        )
+        self._merged_passes = counter(
+            "repro_server_merged_passes_total", "Passes that served more than one contributor"
+        )
+        self._failed_passes = counter("repro_server_failed_passes_total", "Passes that raised")
+        self._coalesced = counter(
+            "repro_server_coalesced_requests_total", "Requests that joined an in-flight pass"
+        )
+        self._builds_total = counter(
+            "repro_server_builds_total", "Background builds started, done or failed", ("event",)
+        )
+        self._internal_errors = counter(
+            "repro_server_internal_errors_total", "500 answers and failed SLO evaluations"
+        )
 
     # ---------------------------------------------------------------- lifecycle
     async def startup(self) -> None:
@@ -325,11 +317,11 @@ class ServerCore:
     async def _slo_loop(self) -> None:
         """Periodic SLO evaluation: feeds the alert emitter + history file."""
         while True:
-            await asyncio.sleep(self.slo_eval_seconds)
+            await asyncio.sleep(_SLO_EVAL_SECONDS)
             try:
                 await self._in_service_thread(self._evaluate_slo)
             except Exception:  # noqa: BLE001 — the eval loop must survive
-                self.internal_errors += 1
+                self._internal_errors.inc()
 
     async def shutdown(self) -> None:
         for task in list(self._tasks):
@@ -442,8 +434,8 @@ class ServerCore:
             status, headers_out, payload = await self._handle_routed(
                 method, path, query, body
             )
-        _HTTP_REQUESTS.inc(method=method, route=route, status=status)
-        _HTTP_SECONDS.observe(time.perf_counter() - started, route=route, exemplar=exemplar)
+        self._http_requests.inc(method=method, route=route, status=status)
+        self._http_seconds.observe(time.perf_counter() - started, route=route, exemplar=exemplar)
         return status, headers_out, payload
 
     async def _handle_routed(
@@ -466,7 +458,7 @@ class ServerCore:
         except ServiceRequestError as exc:
             return 400, {}, self._encode({"error": str(exc), "status": 400})
         except Exception as exc:  # noqa: BLE001 — the server must stay up
-            self.internal_errors += 1
+            self._internal_errors.inc()
             return 500, {}, self._encode(
                 {"error": f"internal error: {type(exc).__name__}: {exc}", "status": 500}
             )
@@ -549,16 +541,16 @@ class ServerCore:
     def metrics_snapshot(self) -> Dict[str, Any]:
         """The merged metrics snapshot every observability surface reads.
 
-        Merges this process's registry (which includes the shard router's
-        per-shard collector when sharded), the shard-stamped worker-process
-        snapshots shipped over the router pipes, and point-in-time fragments
-        (uptime, build info).  ``/metrics``, ``/debug/exemplars`` and
-        ``/debug/slo`` all derive from this one snapshot, so they reconcile
-        with each other and with ``/stats`` by construction.
+        Merges the process-global registry, this core's registry, the
+        service's own snapshots (a shard router's registry plus its
+        shard-stamped worker-process snapshots, shipped over the router
+        pipes), and point-in-time fragments (uptime, build info).
+        ``/metrics``, ``/debug/exemplars``, ``/debug/slo`` and ``/stats``
+        all derive from this one snapshot.
         """
         from .. import __version__
 
-        parts = [get_registry().snapshot()]
+        parts = [get_registry().snapshot(), self.metrics.snapshot()]
         extra = getattr(self.service, "extra_metric_snapshots", None)
         if callable(extra):
             parts.extend(extra())
@@ -661,9 +653,10 @@ class ServerCore:
         defaults, parsed, errors = parse_requests_lenient(
             document, default_seed=self.default_seed
         )
-        self.parse_errors += len(errors)
         total = len(parsed) + len(errors)
-        self.requests_received += total
+        self._received.inc(total)
+        if errors:
+            self._parse_errors.inc(len(errors))
 
         slots: List[Optional[Dict[str, Any]]] = [None] * total
         for err in errors:
@@ -676,16 +669,14 @@ class ServerCore:
         if parsed:
             n = len(parsed)
             if n > self.max_inflight:
-                self.requests_rejected += total
-                _REJECTIONS.inc(total, reason="batch_too_large")
+                self._rejections.inc(total, reason="batch_too_large")
                 raise _HttpError(
                     400,
                     f"batch of {n} requests exceeds --max-inflight={self.max_inflight}; "
                     f"split the batch",
                 )
             if self.inflight + n > self.max_inflight:
-                self.requests_rejected += total
-                _REJECTIONS.inc(total, reason="capacity")
+                self._rejections.inc(total, reason="capacity")
                 raise _HttpError(
                     429,
                     f"server at capacity ({self.inflight}/{self.max_inflight} "
@@ -717,8 +708,9 @@ class ServerCore:
                 self.inflight -= n
 
         ok = sum(1 for entry in slots if entry is not None and entry.get("status") == "ok")
-        self.requests_answered += ok
-        self.requests_failed += total - ok
+        self._outcomes.inc(ok, outcome="answered")
+        if total > ok:
+            self._outcomes.inc(total - ok, outcome="failed")
         expired = sum(
             1 for entry in slots if entry is not None and entry.get("deadline_exceeded")
         )
@@ -764,8 +756,7 @@ class ServerCore:
             if pending is not None and not pending.sealed:
                 offset = pending.add(requests)
                 joined = True
-                self.coalesced_requests += len(requests)
-                _COALESCED.inc(len(requests))
+                self._coalesced.inc(len(requests))
                 span_event("coalesce_merge", offset=offset, requests=len(requests))
             else:
                 pending = _PendingPass(key, self._loop)
@@ -799,7 +790,7 @@ class ServerCore:
                 if isinstance(exc, asyncio.TimeoutError):
                     note_expiry("edge", requests=len(members))
                 pending.future.add_done_callback(_swallow_future_error)
-                self.deadline_expired += len(members)
+                self._deadline_expired.inc(len(members))
                 message = (
                     f"deadline exceeded ({deadline.describe()})"
                     if deadline is not None
@@ -824,24 +815,21 @@ class ServerCore:
                     for idx, request in members
                 ]
         queue_seconds = pass_started - received
-        self.queue_wait.add(queue_seconds, len(requests))
-        self.answer_timing.add(pass_seconds, len(requests))
-        _QUEUE_WAIT_SECONDS.observe(queue_seconds)
-        _ANSWER_SECONDS.observe(pass_seconds)
+        # Once per request, so the means are per request like every result
+        # entry's queue_wait_seconds / pass_seconds.
+        self._queue_wait.observe(queue_seconds, count=len(members))
+        self._answer_seconds.observe(pass_seconds, count=len(members))
         entries: List[Tuple[int, Dict[str, Any]]] = []
         with span("answer", requests=len(members)):
             for slot, (idx, request) in enumerate(members):
                 outcome = batch.outcomes[offset + slot]
-                degraded = bool(getattr(outcome, "degraded", False))
-                if degraded:
-                    self.degraded_answers += 1
                 entries.append(
                     (
                         idx,
                         {
                             "id": request.request_id,
                             "status": "ok",
-                            "degraded": degraded,
+                            "degraded": bool(getattr(outcome, "degraded", False)),
                             "op": outcome.op,
                             "target": outcome.target,
                             "index_kind": outcome.index_kind,
@@ -871,15 +859,13 @@ class ServerCore:
                         self.service.submit, list(pending.requests)
                     )
                 except Exception as exc:  # noqa: BLE001
-                    self.failed_passes += 1
+                    self._failed_passes.inc()
                     if not pending.future.done():
                         pending.future.set_exception(exc)
                     return
-                self.passes += 1
-                _PASSES.inc()
+                self._passes.inc()
                 if pending.contributions > 1:
-                    self.merged_passes += 1
-                    _MERGED_PASSES.inc()
+                    self._merged_passes.inc()
                     span_event(
                         "coalesce_merged_pass",
                         contributors=pending.contributions,
@@ -929,7 +915,7 @@ class ServerCore:
             "queued_at_seconds": time.perf_counter() - self._started,
         }
         self._builds[token] = record
-        self.builds_started += 1
+        self._builds_total.inc(event="started")
         self._spawn(self._run_build(token, target, kind, strict))
         return {"token": token, "status": "queued", "poll": f"/builds/{token}"}
 
@@ -941,7 +927,7 @@ class ServerCore:
         async with self._service_lock:
             record["status"] = "running"
             started = time.perf_counter()
-            self.build_wait.add(started - queued)
+            self._build_wait.observe(started - queued)
             try:
                 index, was_cached = await self._in_service_thread(
                     self.service.ensure_index, target, kind, strict=strict
@@ -950,14 +936,14 @@ class ServerCore:
                 record["status"] = "failed"
                 record["error"] = f"{type(exc).__name__}: {exc}"
                 record["seconds"] = time.perf_counter() - started
-                self.builds_failed += 1
+                self._builds_total.inc(event="failed")
                 return
             record["status"] = "done"
             record["fingerprint"] = index.fingerprint
             record["kind"] = index.kind
             record["cache_hit"] = was_cached
             record["seconds"] = time.perf_counter() - started
-            self.builds_done += 1
+            self._builds_total.inc(event="done")
 
     def _get_build(self, token: str) -> Dict[str, Any]:
         record = self._builds.get(token)
@@ -1077,7 +1063,14 @@ class ServerCore:
 
     # ------------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:
-        """The ``/stats`` document: honest queue depths and timing aggregates."""
+        """The ``/stats`` document: a JSON view over :meth:`metrics_snapshot`.
+
+        Counts are sums of the snapshot's series; ``timings`` summarise its
+        histograms (``p99_seconds`` is a bucket estimate).  Queue depths are
+        the live control state.
+        """
+        snapshot = self.metrics_snapshot()
+        count = functools.partial(snapshot_value, snapshot)
         return {
             "schema": STATS_SCHEMA_ID,
             "version": STATS_SCHEMA_VERSION,
@@ -1088,15 +1081,16 @@ class ServerCore:
             "inflight": self.inflight,
             "peak_inflight": self.peak_inflight,
             "build_queue_limit": self.build_queue_limit,
-            "internal_errors": self.internal_errors,
+            "internal_errors": count("repro_server_internal_errors_total"),
             "requests": {
-                "received": self.requests_received,
-                "answered": self.requests_answered,
-                "rejected": self.requests_rejected,
-                "failed": self.requests_failed,
-                "parse_errors": self.parse_errors,
-                "deadline_expired": self.deadline_expired,
-                "degraded": self.degraded_answers,
+                "received": count("repro_server_requests_received_total"),
+                "answered": count("repro_server_requests_total", outcome="answered"),
+                "rejected": count("repro_server_rejections_total"),
+                "failed": count("repro_server_requests_total", outcome="failed"),
+                "parse_errors": count("repro_server_parse_errors_total"),
+                "deadline_expired": count("repro_server_deadline_expired_total"),
+                # Counted once, by the shard router that served them.
+                "degraded": count("repro_degraded_requests_total"),
             },
             "resilience": {
                 "default_deadline_ms": self.default_deadline_ms,
@@ -1108,16 +1102,16 @@ class ServerCore:
                 "slo_history_path": self.slo.history_path,
             },
             "coalescing": {
-                "passes": self.passes,
-                "merged_passes": self.merged_passes,
-                "coalesced_requests": self.coalesced_requests,
-                "failed_passes": self.failed_passes,
+                "passes": count("repro_server_passes_total"),
+                "merged_passes": count("repro_server_merged_passes_total"),
+                "coalesced_requests": count("repro_server_coalesced_requests_total"),
+                "failed_passes": count("repro_server_failed_passes_total"),
                 "inflight_fingerprints": len(self._pending),
             },
             "builds": {
-                "started": self.builds_started,
-                "done": self.builds_done,
-                "failed": self.builds_failed,
+                "started": count("repro_server_builds_total", event="started"),
+                "done": count("repro_server_builds_total", event="done"),
+                "failed": count("repro_server_builds_total", event="failed"),
                 "queued": sum(
                     1
                     for rec in self._builds.values()
@@ -1126,14 +1120,12 @@ class ServerCore:
                 "limit": self.build_queue_limit,
             },
             "sessions": {"live": len(self._sessions)},
-            # Tracing and SLO read the same counters /metrics and /debug/slo
-            # use, so the surfaces reconcile by construction.
             "tracing": self.tracer.stats(),
-            "slo": self.slo.totals_summary(self.metrics_snapshot()),
+            "slo": self.slo.totals_summary(snapshot),
             "timings": {
-                "queue_wait": self.queue_wait.summary(),
-                "answer": self.answer_timing.summary(),
-                "build_wait": self.build_wait.summary(),
+                "queue_wait": snapshot_timing(snapshot, "repro_server_queue_wait_seconds"),
+                "answer": snapshot_timing(snapshot, "repro_server_answer_seconds"),
+                "build_wait": snapshot_timing(snapshot, "repro_server_build_wait_seconds"),
             },
             "service": self.service.stats(),
         }

@@ -32,7 +32,9 @@ experiment-runner worker, a sandbox without ``multiprocessing`` primitives,
 or an explicit ``force_serial=True`` — the router degrades gracefully to
 **in-process shards** with identical semantics (same ring, same per-shard
 caches, same answers; only the parallelism is gone) and records the fallback
-in its stats.
+in its stats.  The same :class:`_InlineWorker` class also serves a shard
+whose circuit breaker is open: one lazily built instance, called under one
+lock, answers those sub-batches flagged ``degraded``.
 
 Worker processes resolve their :class:`~repro.core.plan.MultiplyPlan` once
 at startup — ``plan="auto"`` therefore calibrates **once per worker
@@ -41,17 +43,20 @@ process**, never per request — and reuse the engine-layer conventions of
 builds inside a worker automatically run their execution backend inline,
 so shard workers never spawn nested pools.
 
-Observability: :meth:`ShardRouter.stats` reports per-shard service/cache
-stats plus router-level counters — requests routed per shard, load
-imbalance (max/mean), worker restarts, bounded retries, and the
-queue-wait vs shard-execution timing split that makes imbalance diagnosable
-from ``/stats`` alone.
+Observability: every router count and timing lives in the router's own
+:class:`~repro.obs.metrics.MetricsRegistry` (``router.metrics``).
+:meth:`ShardRouter.stats` is a view over it plus the per-shard
+service/cache stats — requests routed per shard, load imbalance
+(max/mean), worker restarts and hangs, bounded retries, degraded requests,
+and the queue-wait vs shard-execution timing split that makes imbalance
+diagnosable from ``/stats`` alone.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextvars
+import functools
 import hashlib
 import os
 import random
@@ -64,9 +69,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.plan import MultiplyPlan, resolve_plan
 from ..mpc.engine import fork_context, in_daemonic_process
-from ..obs.metrics import get_registry, relabel_snapshot
+from ..obs.metrics import (
+    MetricsRegistry,
+    get_registry,
+    relabel_snapshot,
+    snapshot_timing,
+    snapshot_value,
+)
 from ..obs.trace import span, span_event
-from ..resilience.breaker import BREAKER_STATE_CODES, BreakerConfig, CircuitBreaker
+from ..resilience.breaker import BREAKER_STATE_CODES, CircuitBreaker
 from ..resilience.deadline import DeadlineExceeded, current_deadline, note_expiry
 from ..resilience.faults import FaultPlan, active_plan, fault_point, install_plan
 from ..resilience.retry import RetryBudget, RetryPolicy
@@ -294,9 +305,9 @@ def _shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
     malformed request never kills the worker; only a genuine crash (signal,
     interpreter death) severs the pipe and triggers the restart path.
     """
-    # Fork copies the parent's live registry (counters mid-flight, the
-    # router's own collector): start this process's counts from zero or the
-    # merged /metrics exposition double-counts after every worker restart.
+    # Fork copies the parent's live registry (counters mid-flight): start
+    # this process's counts from zero or the merged /metrics exposition
+    # double-counts after every worker restart.
     get_registry().reset()
     if config.fault_plan is not None:
         install_plan(config.fault_plan)
@@ -342,10 +353,6 @@ class _WorkerBase:
         #: Serialises calls onto this worker's pipe/service (one in-flight
         #: command per worker; the router's timing split measures the wait).
         self.lock = threading.Lock()
-        self.requests_routed = 0
-        self.sub_batches = 0
-        self.restarts = 0
-        self.hangs = 0
         self.spill_dir: Optional[str] = None
 
     def call(
@@ -451,7 +458,6 @@ class _ProcessWorker(_WorkerBase):
         while self._stale > 0:
             now = time.monotonic()
             if hang_at is not None and now >= hang_at:
-                self.hangs += 1
                 self._kill()
                 raise ShardWorkerHang(
                     f"shard {self.shard_id} worker never delivered an abandoned "
@@ -475,7 +481,6 @@ class _ProcessWorker(_WorkerBase):
             step = _POLL_STEP
             if hang_at is not None:
                 if now >= hang_at:
-                    self.hangs += 1
                     self._kill()
                     raise ShardWorkerHang(
                         f"shard {self.shard_id} worker unresponsive on {cmd!r}; killed"
@@ -508,7 +513,6 @@ class _ProcessWorker(_WorkerBase):
 
     def restart(self) -> None:
         self._teardown(graceful=False)
-        self.restarts += 1
         self._spawn()
 
     def stop(self) -> None:
@@ -539,12 +543,14 @@ class _ProcessWorker(_WorkerBase):
 
 
 class _InlineWorker(_WorkerBase):
-    """The graceful fallback: a shard served in-process.
+    """A shard served in-process: the one serial fallback.
 
     Same ring position, same private cache and spill subdirectory, same
     command surface — only the process boundary (and therefore the
-    parallelism) is gone.  Used when the router runs inside a daemonic
-    worker, when multiprocessing is unavailable, or on ``force_serial``.
+    parallelism) is gone.  Used for every shard when the router runs inside
+    a daemonic worker, when multiprocessing is unavailable, or on
+    ``force_serial``; and, as the router's degraded fallback, for the
+    sub-batches of shards whose breaker is open.
     """
 
     kind = "inline"
@@ -566,35 +572,10 @@ class _InlineWorker(_WorkerBase):
         return _execute_command(self._service, self.shard_id, self.spill_dir, cmd, payload)
 
     def restart(self) -> None:  # pragma: no cover - inline workers cannot crash
-        self.restarts += 1
         self._service, self.spill_dir = _build_worker_service(self.config, self.shard_id)
 
     def stop(self) -> None:
         self._cleanup_spill()
-
-
-class _Aggregate:
-    """Streaming (count / total / max) aggregate of one timing component."""
-
-    __slots__ = ("count", "total", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def add(self, seconds: float, count: int = 1) -> None:
-        self.count += int(count)
-        self.total += float(seconds)
-        self.max = max(self.max, float(seconds))
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "total_seconds": self.total,
-            "mean_seconds": self.total / self.count if self.count else 0.0,
-            "max_seconds": self.max,
-        }
 
 
 class ShardRouter:
@@ -605,7 +586,11 @@ class ShardRouter:
     :meth:`prefetch` (warm-up) and :meth:`close` (worker teardown), and a
     ``concurrency`` attribute the HTTP front-end uses to size its executor.
     Answers are bit-identical to a single-process service; only wall-clock
-    and cache placement change.
+    and cache placement change.  Every router count and timing is recorded
+    in :attr:`metrics`, a private registry that :meth:`stats` reads and
+    :meth:`extra_metric_snapshots` hands to the server's ``/metrics``.
+    Each shard has a default :class:`~repro.resilience.breaker.CircuitBreaker`
+    and :data:`DEFAULT_RING_REPLICAS` virtual nodes on the ring.
 
     Parameters
     ----------
@@ -622,8 +607,6 @@ class ShardRouter:
     spill_dir:
         Spill root; every worker derives a private ``shardI-pidP``
         subdirectory under it and removes it at shutdown.
-    replicas:
-        Virtual nodes per shard on the hash ring.
     retry_limit:
         Bounded restart-and-retry attempts per sub-batch after a worker
         crash (the prepare/submit/wait-with-retry fan-out pattern).  The
@@ -633,10 +616,6 @@ class ShardRouter:
         Decorrelated-jitter backoff between retries and the process-wide
         retry token bucket (defaults: :class:`RetryPolicy()` /
         :class:`RetryBudget()`).
-    breaker:
-        :class:`~repro.resilience.breaker.BreakerConfig` shared by every
-        shard's circuit breaker.  An open shard serves from the router's
-        inline degraded fallback (outcomes flagged ``degraded=True``).
     worker_timeout:
         Liveness budget (seconds) for one worker pipe wait; a worker
         silent past it is killed and restarted like a crashed one.
@@ -658,11 +637,9 @@ class ShardRouter:
         base_size: Optional[int] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         spill_dir: Optional[str] = None,
-        replicas: int = DEFAULT_RING_REPLICAS,
         retry_limit: int = 2,
         retry_policy: Optional[RetryPolicy] = None,
         retry_budget: Optional[RetryBudget] = None,
-        breaker: Optional[BreakerConfig] = None,
         worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
         fault_plan: Optional[FaultPlan] = None,
         force_serial: bool = False,
@@ -679,7 +656,6 @@ class ShardRouter:
         self.retry_limit = int(retry_limit)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.retry_budget = retry_budget if retry_budget is not None else RetryBudget()
-        self.breaker_config = breaker if breaker is not None else BreakerConfig()
         self.worker_timeout = float(worker_timeout)
         if fault_plan is not None:
             # The router-side sites (pipe.send/recv, and cache/build sites
@@ -697,7 +673,7 @@ class ShardRouter:
             base_size=base_size,
             fault_plan=fault_plan,
         )
-        self.ring = ConsistentHashRing(self.shards, replicas=replicas)
+        self.ring = ConsistentHashRing(self.shards)
         self.serial_fallback: Optional[str] = None
         self._workers: List[_WorkerBase] = []
         self._start_workers(force_serial)
@@ -705,52 +681,69 @@ class ShardRouter:
             max_workers=self.shards, thread_name_prefix="repro-shard-router"
         )
         self._fingerprints: Dict[Tuple[TargetSpec, str, bool], str] = {}
-        self._metrics_lock = threading.Lock()
-        self.queue_wait = _Aggregate()
-        self.shard_exec = _Aggregate()
-        self.batches_routed = 0
-        self.requests_routed = 0
-        self.retries = 0
-        self.degraded_requests = 0
         self.closed = False
         #: Deterministic jitter source + injectable sleep (tests stub both).
         self._rng = random.Random(0x5EED ^ self.shards)
         self._sleep = time.sleep
+        #: The degraded fallback: built on the first open breaker and called
+        #: only under ``_fallback_lock``, because a ``QueryService`` is
+        #: single-threaded and every pool thread may need it at once.
         self._fallback_lock = threading.Lock()
-        self._fallback_service: Optional[QueryService] = None
-        registry = get_registry()
-        self._pipe_seconds = registry.histogram(
+        self._fallback: Optional[_InlineWorker] = None
+        self.metrics = MetricsRegistry()
+        counter, histogram = self.metrics.counter, self.metrics.histogram
+        self._pipe_seconds = histogram(
             "repro_shard_pipe_seconds",
             "Router-side round-trip of one worker command (pipe + execution)",
             ("cmd",),
         )
-        self._retries_metric = registry.counter(
+        self._queue_wait = histogram(
+            "repro_shard_queue_wait_seconds", "Time a routed request waited for its worker"
+        )
+        self._shard_exec = histogram(
+            "repro_shard_exec_seconds", "Worker round-trip attributed to routed requests"
+        )
+        self._batches = counter("repro_router_batches_total", "Batches answered by the router")
+        self._routed = counter(
+            "repro_shard_requests_total", "Requests routed to each shard", ("shard",)
+        )
+        self._sub_batches = counter(
+            "repro_shard_sub_batches_total", "Sub-batches dispatched to each shard", ("shard",)
+        )
+        self._restarts = counter(
+            "repro_shard_restarts_total", "Worker restarts after a crash, per shard", ("shard",)
+        )
+        self._hangs = counter(
+            "repro_shard_hangs_total", "Hung workers detected (and killed), per shard", ("shard",)
+        )
+        self._retries = counter(
             "repro_shard_retries_total", "Sub-batches retried after a worker crash"
         )
-        self._breaker_transitions = registry.counter(
-            "repro_breaker_transitions_total",
-            "Circuit breaker state transitions per shard",
-            ("shard", "from", "to"),
-        )
-        self._degraded_metric = registry.counter(
+        self._degraded = counter(
             "repro_degraded_requests_total",
             "Requests served by the inline degraded fallback (breaker open / "
             "retries exhausted)",
             ("shard",),
         )
+        self._breaker_transitions = counter(
+            "repro_breaker_transitions_total",
+            "Circuit breaker state transitions per shard",
+            ("shard", "from", "to"),
+        )
+        self._breaker_state = self.metrics.gauge(
+            "repro_breaker_state",
+            "Per-shard breaker state (0=closed, 1=half_open, 2=open)",
+            ("shard",),
+        )
+        for shard in range(self.shards):
+            # Every shard's series exists from the start, at zero.
+            for series in (self._routed, self._sub_batches, self._restarts, self._hangs):
+                series.inc(0, shard=shard)
+            self._breaker_state.set(BREAKER_STATE_CODES["closed"], shard=shard)
         self._breakers = [
-            CircuitBreaker(
-                self.breaker_config,
-                name=str(shard),
-                on_transition=self._note_breaker_transition,
-            )
+            CircuitBreaker(name=str(shard), on_transition=self._note_breaker_transition)
             for shard in range(self.shards)
         ]
-        # Per-shard routing counters are *collected* from the same
-        # worker.requests_routed the /stats document reports, so the two
-        # surfaces reconcile exactly instead of drifting in parallel counts.
-        self._collector = self._collect_shard_series
-        registry.register_collector(self._collector)
 
     # ------------------------------------------------------------- lifecycle
     @property
@@ -787,7 +780,6 @@ class ShardRouter:
         if self.closed:
             return
         self.closed = True
-        get_registry().unregister_collector(self._collector)
         self._pool.shutdown(wait=True)
         for worker in self._workers:
             with worker.lock:
@@ -830,6 +822,7 @@ class ShardRouter:
 
     def _note_breaker_transition(self, name: str, old: str, new: str) -> None:
         self._breaker_transitions.inc(shard=name, **{"from": old, "to": new})
+        self._breaker_state.set(BREAKER_STATE_CODES[new], shard=name)
         span_event("breaker_transition", shard=name, old_state=old, new_state=new)
 
     def _call(
@@ -882,6 +875,7 @@ class ShardRouter:
                     if breaker is not None:
                         breaker.record_failure()
                     if isinstance(crash, ShardWorkerHang):
+                        self._hangs.inc(shard=shard_id)
                         span_event(
                             "shard_hang", shard=shard_id, cmd=cmd, attempt=attempt
                         )
@@ -889,6 +883,7 @@ class ShardRouter:
                         "shard_restart", shard=shard_id, attempt=attempt - 1, cmd=cmd
                     )
                     worker.restart()
+                    self._restarts.inc(shard=shard_id)
                     if attempt > self.retry_limit:
                         break
                     if not self.retry_budget.try_spend():
@@ -906,9 +901,7 @@ class ShardRouter:
                                 stage="router",
                             )
                         delay = min(delay, remaining)
-                    with self._metrics_lock:
-                        self.retries += 1
-                    self._retries_metric.inc()
+                    self._retries.inc()
                     span_event(
                         "shard_retry",
                         shard=shard_id,
@@ -935,18 +928,16 @@ class ShardRouter:
                 if breaker is not None:
                     breaker.record_success()
                 self.retry_budget.credit()
-                self._pipe_seconds.observe(time.perf_counter() - executing_from, cmd=cmd)
+                executed = time.perf_counter() - executing_from
+                self._pipe_seconds.observe(executed, cmd=cmd)
                 if request_count:
                     # The timing split covers request-bearing work only
                     # (submit / ensure), not stats polls — otherwise every
                     # /stats scrape would dilute the means it reports.
-                    worker.requests_routed += request_count
-                    worker.sub_batches += 1
-                    with self._metrics_lock:
-                        self.queue_wait.add(waited, request_count)
-                        self.shard_exec.add(
-                            time.perf_counter() - executing_from, request_count
-                        )
+                    self._routed.inc(request_count, shard=shard_id)
+                    self._sub_batches.inc(shard=shard_id)
+                    self._queue_wait.observe(waited, count=request_count)
+                    self._shard_exec.observe(executed, count=request_count)
                 return result
         raise ShardRetriesExhausted(
             f"shard {shard_id} worker crashed {attempt} times on one "
@@ -1044,9 +1035,7 @@ class ShardRouter:
                 outcomes[position] = outcome
             built += sub_built
             reused += sub_reused
-        with self._metrics_lock:
-            self.batches_routed += 1
-            self.requests_routed += len(requests)
+        self._batches.inc()
         return ServiceBatchResult(
             outcomes=[outcome for outcome in outcomes if outcome is not None],
             seconds=time.perf_counter() - started,
@@ -1055,35 +1044,29 @@ class ShardRouter:
         )
 
     def _serve_degraded(self, shard_id: int, sub_requests: List[QueryRequest]):
-        """Answer one shard's sub-batch from the router-local fallback.
+        """Answer one shard's sub-batch from the router's inline fallback.
 
-        Used while the shard's breaker is open: the requests are served by a
-        lazily built in-process :class:`QueryService` (no spill directory, no
-        fault plan — the fallback must stay boring) and every outcome is
-        flagged ``degraded=True`` so callers can tell a possibly-stale answer
-        from a worker-fresh one.  Returns the same ``(outcomes, built,
-        reused)`` tuple the worker's ``submit`` command produces.
+        Used while the shard's breaker is open: the requests are served by
+        one lazily built :class:`_InlineWorker` (no spill directory, no
+        fault plan — the fallback must stay boring), one sub-batch at a
+        time, and every outcome is flagged ``degraded=True`` so callers can
+        tell a possibly-stale answer from a worker-fresh one.  Returns the
+        same ``(outcomes, built, reused)`` tuple the worker's ``submit``
+        command produces.
         """
-        service = self._fallback_service
-        if service is None:
-            with self._fallback_lock:
-                service = self._fallback_service
-                if service is None:
-                    fallback_config = replace(
-                        self.config, spill_root=None, fault_plan=None
-                    )
-                    service, _ = _build_worker_service(fallback_config, -1)
-                    self._fallback_service = service
-        with span("degraded", shard=shard_id, requests=len(sub_requests)):
-            result = service.submit(sub_requests)
-        outcomes = [replace(outcome, degraded=True) for outcome in result.outcomes]
-        with self._metrics_lock:
-            self.degraded_requests += len(sub_requests)
-        self._degraded_metric.inc(len(sub_requests), shard=str(shard_id))
+        with self._fallback_lock:
+            if self._fallback is None:
+                self._fallback = _InlineWorker(
+                    -1, replace(self.config, spill_root=None, fault_plan=None)
+                )
+            with span("degraded", shard=shard_id, requests=len(sub_requests)):
+                outcomes, built, reused = self._fallback.call("submit", sub_requests)
+        self._routed.inc(len(sub_requests), shard=shard_id)
+        self._degraded.inc(len(sub_requests), shard=shard_id)
         span_event(
             "degraded_serve", shard=shard_id, requests=len(sub_requests)
         )
-        return outcomes, result.indexes_built, result.indexes_reused
+        return [replace(outcome, degraded=True) for outcome in outcomes], built, reused
 
     # --------------------------------------------------------------- warm-up
     def ensure_index(
@@ -1145,49 +1128,15 @@ class ShardRouter:
         }
 
     # --------------------------------------------------------------- metrics
-    def _collect_shard_series(self) -> Dict[str, Any]:
-        """Per-shard router counters as a snapshot fragment (see __init__)."""
-        requests = {"type": "counter",
-                    "help": "Requests routed to each shard (router-side count)",
-                    "samples": []}
-        sub_batches = {"type": "counter",
-                       "help": "Sub-batches dispatched to each shard",
-                       "samples": []}
-        restarts = {"type": "counter",
-                    "help": "Worker restarts after a crash, per shard",
-                    "samples": []}
-        hangs = {"type": "counter",
-                 "help": "Hung workers detected (and killed), per shard",
-                 "samples": []}
-        breaker_state = {"type": "gauge",
-                         "help": "Per-shard breaker state (0=closed, 1=half_open, 2=open)",
-                         "samples": []}
-        for worker in self._workers:
-            labels = [["shard", str(worker.shard_id)]]
-            requests["samples"].append([labels, worker.requests_routed])
-            sub_batches["samples"].append([labels, worker.sub_batches])
-            restarts["samples"].append([labels, worker.restarts])
-            hangs["samples"].append([labels, worker.hangs])
-            breaker_state["samples"].append(
-                [labels, BREAKER_STATE_CODES[self._breakers[worker.shard_id].state]]
-            )
-        return {
-            "repro_shard_requests_total": requests,
-            "repro_shard_sub_batches_total": sub_batches,
-            "repro_shard_restarts_total": restarts,
-            "repro_shard_hangs_total": hangs,
-            "repro_breaker_state": breaker_state,
-        }
-
     def extra_metric_snapshots(self) -> List[Dict[str, Any]]:
-        """Shard-stamped registry snapshots fetched from each worker process.
+        """The router's registry, then shard-stamped worker-process snapshots.
 
-        Inline (fallback) workers share this process's registry — their
-        counts are already in the local snapshot — so only process workers
-        are polled; a worker that cannot answer is skipped rather than
-        failing the scrape.
+        Inline workers record into this process's global registry — their
+        counts are already in the server's snapshot — so only process
+        workers are polled; a worker that cannot answer is skipped rather
+        than failing the scrape.
         """
-        snapshots: List[Dict[str, Any]] = []
+        snapshots: List[Dict[str, Any]] = [self.metrics.snapshot()]
         for worker in self._workers:
             if worker.kind != "process":
                 continue
@@ -1205,7 +1154,8 @@ class ShardRouter:
         Includes the top-level keys the single-process service stats carry
         (``mode``/``delta``/``backend``/``cache``), with the cache counters
         *aggregated* across shards, so artifact writers and dashboards read
-        one shape regardless of sharding.
+        one shape regardless of sharding.  Router counts and timings are a
+        view over :attr:`metrics`.
         """
         per_shard: List[Dict[str, Any]] = []
         for worker in self._workers:
@@ -1214,12 +1164,16 @@ class ShardRouter:
             except (RuntimeError, ShardWorkerCrash) as exc:
                 doc = {"shard": worker.shard_id, "error": str(exc)}
             doc["worker"] = worker.kind
-            doc["requests_routed"] = worker.requests_routed
-            doc["sub_batches"] = worker.sub_batches
-            doc["restarts"] = worker.restarts
             per_shard.append(doc)
+        # Read after the stats polls, which can restart a dead worker.
+        snapshot = self.metrics.snapshot()
+        count = functools.partial(snapshot_value, snapshot)
+        for shard, doc in enumerate(per_shard):
+            doc["requests_routed"] = count("repro_shard_requests_total", shard=shard)
+            doc["sub_batches"] = count("repro_shard_sub_batches_total", shard=shard)
+            doc["restarts"] = count("repro_shard_restarts_total", shard=shard)
 
-        routed = [worker.requests_routed for worker in self._workers]
+        routed = [doc["requests_routed"] for doc in per_shard]
         total_routed = sum(routed)
         mean_routed = total_routed / len(routed) if routed else 0.0
         imbalance = (max(routed) / mean_routed) if mean_routed > 0 else 0.0
@@ -1258,14 +1212,6 @@ class ShardRouter:
             for key in service_totals:
                 service_totals[key] += doc.get(key, 0)
 
-        with self._metrics_lock:
-            timings = {
-                "queue_wait": self.queue_wait.summary(),
-                "shard_exec": self.shard_exec.summary(),
-            }
-            batches, requests, retries = self.batches_routed, self.requests_routed, self.retries
-            degraded = self.degraded_requests
-
         resilience: Dict[str, Any] = {
             "worker_timeout_seconds": self.worker_timeout,
             "retry_policy": {
@@ -1274,8 +1220,8 @@ class ShardRouter:
                 "multiplier": self.retry_policy.multiplier,
             },
             "retry_budget": self.retry_budget.stats(),
-            "hangs": sum(worker.hangs for worker in self._workers),
-            "degraded_requests": degraded,
+            "hangs": count("repro_shard_hangs_total"),
+            "degraded_requests": count("repro_degraded_requests_total"),
             "breakers": {
                 str(shard): self._breakers[shard].stats()
                 for shard in range(self.shards)
@@ -1297,17 +1243,20 @@ class ShardRouter:
             "plan": self.config.plan.describe()
             if isinstance(self.config.plan, MultiplyPlan)
             else self.config.plan,
-            "batches_served": batches,
-            "requests_served": requests,
+            "batches_served": count("repro_router_batches_total"),
+            "requests_served": total_routed,
             **service_totals,
-            "restarts": sum(worker.restarts for worker in self._workers),
-            "retries": retries,
+            "restarts": count("repro_shard_restarts_total"),
+            "retries": count("repro_shard_retries_total"),
             "load": {
                 "per_shard_requests": routed,
                 "shards_exercised": sum(1 for count in routed if count > 0),
                 "imbalance": imbalance,
             },
-            "router_timings": timings,
+            "router_timings": {
+                "queue_wait": snapshot_timing(snapshot, "repro_shard_queue_wait_seconds"),
+                "shard_exec": snapshot_timing(snapshot, "repro_shard_exec_seconds"),
+            },
             "resilience": resilience,
             "cache": cache,
             "per_shard": per_shard,

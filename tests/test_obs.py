@@ -8,8 +8,8 @@ Covers the four surfaces the layer promises:
 * tracing — one ``POST /v2/batch`` through a 2-shard router yields a single
   trace covering edge → coalesce → route → worker → answer with consistent
   IDs and child spans inside their parents;
-* reconciliation — per-shard counters on ``GET /metrics`` agree exactly
-  with the ``/stats`` JSON (same underlying numbers, by construction);
+* one store — per-shard counters reach ``GET /metrics`` with the values
+  the ``/stats`` JSON reports (both read the router's registry);
 * reporting — ``repro report`` renders every recorded artifact, the trend
   log and the capacity planner without matplotlib or any third-party dep.
 """
@@ -104,17 +104,6 @@ class TestRegistry:
         snap = relabel_snapshot(registry.snapshot(), {"shard": "3"})
         (labels, _), = snap["c_total"]["samples"]
         assert ["shard", "3"] in [list(kv) for kv in labels]
-
-    def test_collector_fragments_land_in_snapshot(self):
-        from repro.obs.metrics import gauge_fragment
-
-        registry = MetricsRegistry()
-        registry.register_collector(
-            lambda: gauge_fragment("derived_value", 7.0, "derived", labels={"who": "me"})
-        )
-        snap = registry.snapshot()
-        (labels, value), = snap["derived_value"]["samples"]
-        assert value == 7.0 and ("who", "me") in [tuple(kv) for kv in labels]
 
 
 class TestHistogramMath:
@@ -323,8 +312,8 @@ class TestServerObservability:
         ):
             assert name in parsed, f"missing series {name}"
 
-        # Per-shard request counters on /metrics reconcile exactly with the
-        # /stats JSON — both derive from the same router counters.
+        # Per-shard request counters reach /metrics with the values /stats
+        # reports: both read the router's registry.
         _, _, stats = get_json(sharded_server.url + "/stats")
         per_shard = stats["service"]["load"]["per_shard_requests"]
         series = parsed["repro_shard_requests_total"]
@@ -351,8 +340,8 @@ class TestServerObservability:
 
         status, _, stats = get_json(sharded_server.url + "/stats")
         assert status == 200
-        assert stats["stats_schema"] == "repro.server.stats.v2"
-        assert stats["version"] == 2
+        assert stats["stats_schema"] == "repro.server.stats.v3"
+        assert stats["version"] == 3
 
 
 # --------------------------------------------------------------- reporting

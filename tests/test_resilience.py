@@ -11,8 +11,8 @@ Three tiers:
   injecting worker hangs, crashes and spill corruption: every request is
   answered (possibly ``degraded``) or fails fast with a structured 5xx,
   non-degraded answers match the serial oracle bit-for-bit, and the
-  breaker/fault/deadline counters reconcile between ``/metrics`` and
-  ``/stats``.
+  breaker/fault/hang series reach ``/metrics`` with the values ``/stats``
+  reports.
 """
 
 import contextvars
@@ -25,6 +25,7 @@ import time
 import pytest
 
 from repro.obs.alerts import AlertEmitter
+from repro.obs.metrics import snapshot_value
 from repro.obs.slo import SLOEngine, SLObjective, WINDOWS
 from repro.resilience import (
     BREAKER_STATE_CODES,
@@ -555,9 +556,9 @@ class TestRouterResilience:
             stats = router.stats()
             assert stats["resilience"]["hangs"] >= 1
             assert stats["restarts"] >= 1
-            # The hang surfaces on the per-shard collector series too.
-            series = router._collect_shard_series()
-            assert series["repro_shard_hangs_total"]["samples"][0][1] >= 1
+            # The hang is on shard 0's series of the router's registry.
+            snapshot = router.metrics.snapshot()
+            assert snapshot_value(snapshot, "repro_shard_hangs_total", shard=0) >= 1
 
     def test_deadline_abandons_call_but_worker_survives(self):
         # Dispatch hit 2 stalls 600 ms; the caller's 150 ms budget dies at
@@ -611,11 +612,9 @@ class TestRouterResilience:
                 doc["state"] == "open"
                 for doc in stats["resilience"]["breakers"].values()
             )
-            series = router._collect_shard_series()
-            assert all(
-                sample[1] == BREAKER_STATE_CODES["open"]
-                for sample in series["repro_breaker_state"]["samples"]
-            )
+            samples = router.metrics.snapshot()["repro_breaker_state"]["samples"]
+            assert len(samples) == 2
+            assert all(value == BREAKER_STATE_CODES["open"] for _, value in samples)
 
     def test_breaker_recloses_after_cooldown_probe(self):
         clock = FakeClock()
@@ -635,6 +634,56 @@ class TestRouterResilience:
             probed = router.submit(requests)  # the half-open probe succeeds
             assert not any(o.degraded for o in probed.outcomes)
             assert breaker.state == "closed"
+
+    def test_degraded_fallback_serves_one_sub_batch_at_a_time(self, monkeypatch):
+        """Open breakers on every shard funnel into one single-threaded service.
+
+        The router's pool runs the four sub-batches on four threads; the
+        degraded fallback must still call its ``QueryService`` one at a
+        time, because the service and its cache take no locks.
+        """
+        clock = FakeClock()
+        active, peak = [0], [0]
+        lock = threading.Lock()
+        real_submit = QueryService.submit
+
+        def spying_submit(self, requests):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                time.sleep(0.05)  # widen the window an overlap would need
+                return real_submit(self, requests)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        document = {
+            "requests": [
+                {"op": "lis_length", "id": f"r{seed}", "workload": "random",
+                 "n": 96, "seed": seed}
+                for seed in range(12)
+            ]
+        }
+        requests = _requests_for(document)
+        with ShardRouter(4, force_serial=True) as router:
+            assert {router._shard_for_request(r) for r in requests} == {0, 1, 2, 3}
+            for shard in range(4):
+                router._breakers[shard] = CircuitBreaker(
+                    BreakerConfig(cooldown_seconds=5.0),
+                    name=str(shard),
+                    clock=clock,
+                    on_transition=router._note_breaker_transition,
+                )
+                router._breakers[shard].trip()
+            monkeypatch.setattr(QueryService, "submit", spying_submit)
+            result = router.submit(requests)
+            monkeypatch.undo()
+            assert peak[0] == 1, f"{peak[0]} concurrent calls on the fallback service"
+            assert all(outcome.degraded for outcome in result.outcomes)
+            assert router.stats()["resilience"]["degraded_requests"] == len(requests)
+        oracle = QueryService().submit(requests)
+        assert [o.result for o in result.outcomes] == [o.result for o in oracle.outcomes]
 
     def test_crash_retries_use_the_budget(self):
         # A worker that crashes on its 2nd dispatch: one retry, then the
@@ -673,8 +722,7 @@ class TestRouterResilience:
         """Fork copies the parent registry; reset() must zero it in place.
 
         Module-level metric references must survive (a replaced registry
-        would orphan them) and collectors must be dropped so a restarted
-        worker never re-exports the parent router's per-shard series.
+        would orphan them).
         """
         from repro.obs.metrics import MetricsRegistry
 
@@ -683,13 +731,11 @@ class TestRouterResilience:
         hist = registry.histogram("t_seconds")
         counter.inc(5, shard="0")
         hist.observe(0.1)
-        registry.register_collector(lambda: {"t_extra": {"type": "counter", "samples": [[[], 1]]}})
         assert registry.snapshot()["t_total"]["samples"]
         registry.reset()
         snap = registry.snapshot()
         assert snap["t_total"]["samples"] == []
         assert snap["t_seconds"]["samples"] == []
-        assert "t_extra" not in snap  # collector dropped
         counter.inc(shard="1")  # the pre-reset reference still works
         assert registry.snapshot()["t_total"]["samples"] == [[[["shard", "1"]], 1]]
 
@@ -869,8 +915,8 @@ class TestChaosEndToEnd:
                 if line.startswith("repro_faults_injected_total{")
             )
             assert fired >= 1.0
-            # /metrics and /stats reconcile: the per-shard hang series sums
-            # to the stats() aggregate.
+            # The per-shard hang series reaches /metrics with the total
+            # /stats reports.
             hangs = sum(
                 float(line.rsplit(None, 1)[1])
                 for line in text.splitlines()

@@ -209,7 +209,56 @@ class TestConcurrentBitIdentity:
             assert coalescing["passes"] < 32 * 5
             timings = stats["timings"]
             assert timings["answer"]["count"] == 32 * 5
-            assert timings["answer"]["max_seconds"] >= timings["answer"]["mean_seconds"]
+            # The histogram is observed once per request, so its mean is the
+            # mean of the pass_seconds the 160 result entries carry.
+            pass_seconds = [
+                entry["pass_seconds"]
+                for _, (_, _, body) in results
+                for entry in body["results"]
+            ]
+            assert len(pass_seconds) == 32 * 5
+            assert timings["answer"]["mean_seconds"] == pytest.approx(
+                sum(pass_seconds) / len(pass_seconds)
+            )
+        finally:
+            handle.stop()
+
+    def test_stats_timings_are_per_request_and_match_metrics(self):
+        """One POST of 8 same-target requests runs one pass of 8 requests.
+
+        ``/stats`` and ``/metrics`` read one histogram, observed once per
+        request: both count 8, and the mean is the pass time every result
+        entry reports (not the pass time divided by the group size).
+        """
+        from repro.obs.metrics import parse_prometheus_text
+
+        document = {
+            "schema": "repro.service.requests",
+            "requests": [
+                {"op": "substring_query", "id": f"w{k}", "workload": "random",
+                 "n": 256, "seed": 5, "i": [k], "j": [128 + k]}
+                for k in range(8)
+            ],
+        }
+        handle = start_server()
+        try:
+            status, _, body = post_json(handle.url + "/v2/batch", document)
+            assert status == 200 and body["ok"] == 8
+            pass_seconds = {entry["pass_seconds"] for entry in body["results"]}
+            assert len(pass_seconds) == 1, "8 same-target requests share one pass"
+
+            _, _, stats = get_json(handle.url + "/stats")
+            answer = stats["timings"]["answer"]
+            assert stats["coalescing"]["passes"] == 1
+            assert answer["count"] == 8
+            assert answer["mean_seconds"] == pytest.approx(pass_seconds.pop())
+            assert answer["p99_seconds"] > 0.0
+
+            import urllib.request
+
+            with urllib.request.urlopen(handle.url + "/metrics", timeout=30) as response:
+                metrics = parse_prometheus_text(response.read().decode("utf-8"))
+            assert metrics["repro_server_answer_seconds_count"][()] == answer["count"]
         finally:
             handle.stop()
 
