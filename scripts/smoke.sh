@@ -11,8 +11,9 @@
 # poll, cold/warm POST, per-shard /stats assertions, the per-shard /metrics
 # counters carrying the same values, trap teardown), a sampled serve-http cycle
 # (1% head rate: sampler counters tick, /debug/slo reconciles with /stats,
-# an SLO burn-rate artifact is recorded on shutdown and validated, and the
-# --slo-history JSONL persists window rows across the restart boundary), a
+# an SLO burn-rate artifact is recorded on shutdown and validated, and
+# --slo-history, which starts the periodic SLO task, persists window rows
+# to a JSONL file across the restart boundary), a
 # chaos serve-http cycle (--shards 2 under a seeded --fault-plan injecting
 # a worker hang, a worker crash and spill corruption, with a 500 ms
 # hung-worker timeout: every request answered or failed fast with a
@@ -144,7 +145,7 @@ assert record["status"] == "done", record
 stats = call("GET", "/stats")
 assert stats["requests"]["answered"] == 4, stats["requests"]
 assert stats["builds"]["done"] == 1, stats["builds"]
-assert stats["stats_schema"] == "repro.server.stats.v3", stats["stats_schema"]
+assert stats["stats_schema"] == "repro.server.stats.v4", stats["stats_schema"]
 
 # The codec answers a malformed frame with a prompt 400, not a traceback.
 import socket
@@ -333,7 +334,7 @@ echo "== sampled serve-http cycle (1% head rate): tail retention + SLO record ==
 rm -f "${SLO_HISTORY}"
 python -m repro serve-http --port "${SLO_HTTP_PORT}" --duration 60 \
     --trace-head-rate 0.01 --trace-tail-min-ms 250 \
-    --slo-record "${SLO_ARTIFACT}" --slo-history "${SLO_HISTORY}" --slo-alerts &
+    --slo-record "${SLO_ARTIFACT}" --slo-history "${SLO_HISTORY}" &
 SERVER_PID=$!
 python - "${SLO_HTTP_PORT}" <<'EOF'
 import json

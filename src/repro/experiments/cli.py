@@ -33,8 +33,7 @@ Subcommands
     (:mod:`repro.obs.report`); ``--trend`` adds the perf-over-commits trend
     table from ``results/perf_trend.jsonl``, ``--capacity QPS`` answers
     "how many shards/workers do I need for QPS requests/second", and
-    ``--plots DIR`` writes matplotlib PNGs when matplotlib is installed
-    (the text report never needs it).
+    ``--slo`` adds the burn-rate summary of recorded SLO evaluations.
 ``validate <path>``
     Check an artifact file against the schema (exit 1 on failure).
 
@@ -354,20 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         "batches get 429 + Retry-After)",
     )
     serve_http_parser.add_argument(
-        "--build-queue",
-        type=int,
-        default=8,
-        metavar="N",
-        help="cap on queued background index builds (POST /builds)",
-    )
-    serve_http_parser.add_argument(
-        "--retry-after",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="Retry-After hint (seconds) on 429 responses",
-    )
-    serve_http_parser.add_argument(
         "--duration",
         type=float,
         default=None,
@@ -384,35 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
         "kept regardless; default 1.0 = keep everything)",
     )
     serve_http_parser.add_argument(
-        "--trace-tail-quantile",
-        type=float,
-        default=0.99,
-        metavar="Q",
-        help="per-route latency quantile above which a head-dropped trace "
-        "is retained anyway (tail-based sampling)",
-    )
-    serve_http_parser.add_argument(
         "--trace-tail-min-ms",
         type=float,
         default=None,
         metavar="MS",
         help="absolute floor for tail retention: any trace slower than MS "
         "is kept even before the quantile estimate has warmed up",
-    )
-    serve_http_parser.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=128,
-        metavar="N",
-        help="retained-trace ring-buffer capacity (GET /debug/traces)",
-    )
-    serve_http_parser.add_argument(
-        "--slo-config",
-        default=None,
-        metavar="PATH",
-        help="JSON file with a list of SLO objective definitions "
-        "({name, kind: availability|latency, target, route?, "
-        "threshold_ms?}); default: stock /v2/batch objectives",
     )
     serve_http_parser.add_argument(
         "--slo-record",
@@ -427,27 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="persist the SLO window history to a JSONL file and reload it "
         "at startup, so burn rates survive server restarts",
-    )
-    serve_http_parser.add_argument(
-        "--slo-alerts",
-        action="store_true",
-        help="emit deduplicated page/ticket alerts as structured log lines "
-        "(periodic SLO evaluation with per-objective cooldown)",
-    )
-    serve_http_parser.add_argument(
-        "--slo-alert-webhook",
-        default=None,
-        metavar="URL",
-        help="additionally POST each emitted alert document to URL "
-        "(implies --slo-alerts; failures are counted, never fatal)",
-    )
-    serve_http_parser.add_argument(
-        "--slo-alert-cooldown",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="minimum spacing between repeat alerts for one objective at "
-        "an unchanged severity (transitions always emit immediately)",
     )
     serve_http_parser.add_argument(
         "--default-deadline-ms",
@@ -600,13 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="QPS",
         help="answer 'how many shards/workers for QPS requests/second' from "
         "the recorded scaling + latency artifacts",
-    )
-    report_parser.add_argument(
-        "--plots",
-        default=None,
-        metavar="DIR",
-        help="also write matplotlib PNGs to DIR (requires matplotlib; the "
-        "text report does not)",
     )
     report_parser.add_argument(
         "--slo",
@@ -840,45 +774,27 @@ def _cmd_serve(args, out) -> int:
 
 def _cmd_serve_http(args, out) -> int:
     from ..obs.sampling import TraceSampler
-    from ..obs.slo import SLOEngine, objectives_from_config
+    from ..obs.slo import SLOEngine
     from ..server import start_server
 
     service = _build_cli_service(args, {})
     sampler = TraceSampler(
         args.trace_head_rate,
-        tail_quantile=args.trace_tail_quantile,
         tail_min_seconds=(
             args.trace_tail_min_ms / 1000.0
             if args.trace_tail_min_ms is not None
             else None
         ),
     )
-    objectives = None
-    if args.slo_config is not None:
-        with open(args.slo_config, "r", encoding="utf-8") as fh:
-            objectives = objectives_from_config(json.load(fh))
-    slo_engine = SLOEngine(objectives, history_path=args.slo_history)
-    alert_emitter = None
-    if args.slo_alerts or args.slo_alert_webhook:
-        from ..obs.alerts import AlertEmitter
-
-        alert_emitter = AlertEmitter(
-            cooldown_seconds=args.slo_alert_cooldown,
-            webhook_url=args.slo_alert_webhook,
-        )
     handle = start_server(
         service,
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
-        build_queue_limit=args.build_queue,
-        retry_after_seconds=args.retry_after,
         default_seed=args.seed,
-        trace_capacity=args.trace_capacity,
         sampler=sampler,
-        slo_engine=slo_engine,
+        slo_engine=SLOEngine(history_path=args.slo_history),
         default_deadline_ms=args.default_deadline_ms,
-        alert_emitter=alert_emitter,
     )
     shard_note = (
         f", shards={service.shards}" if isinstance(service, ShardRouter) else ""
@@ -1238,7 +1154,6 @@ def _cmd_report(args, out) -> int:
         paths,
         trend_path=args.trend,
         capacity_qps=args.capacity,
-        plots_dir=args.plots,
         slo=args.slo,
     )
     print(text, file=out)

@@ -1,6 +1,6 @@
 """repro.obs — the stdlib-only observability layer.
 
-Three cooperating pieces, threaded through every serving layer:
+Five cooperating pieces, threaded through every serving layer:
 
 * :mod:`repro.obs.metrics` — a process-local, thread-safe registry of
   counters, gauges and fixed-log-bucket histograms with Prometheus text
@@ -20,14 +20,10 @@ Three cooperating pieces, threaded through every serving layer:
   latency-under-threshold) evaluated from registry snapshots with
   multi-window burn rates (Google SRE workbook style); the window history
   optionally persists to a JSONL file so burn rates survive restarts.
-* :mod:`repro.obs.alerts` — the deduplicated alert emitter: SLO verdicts
-  become structured log lines (and optional webhook POSTs) on severity
-  *transitions*, with per-objective cooldown instead of per-tick spam.
 * :mod:`repro.obs.report` — ``python -m repro report``: renders scaling
   curves, latency histograms, cache hit-rate tables and perf-over-commits
-  trend tables from recorded ``results/*.json`` artifacts (matplotlib when
-  available, ASCII always), plus the ``--capacity`` planning mode and the
-  ``--slo`` burn-rate section.
+  trend tables from recorded ``results/*.json`` artifacts as ASCII, plus
+  the ``--capacity`` planning mode and the ``--slo`` burn-rate section.
 
 ``metrics`` and ``trace`` import nothing from the rest of the package so the
 innermost layers (``core.seaweed``, ``service.cache``) can instrument
@@ -35,20 +31,17 @@ themselves without import cycles; ``sampling`` and ``slo`` build on
 ``metrics`` only; ``report`` is imported lazily by the CLI.
 """
 
-from . import alerts, metrics, sampling, slo, trace
-from .alerts import AlertEmitter
+from . import metrics, sampling, slo, trace
 from .metrics import MetricsRegistry, get_registry
 from .sampling import TraceSampler
 from .slo import SLOEngine, SLObjective
 from .trace import Tracer, current_trace_id, span, span_event
 
 __all__ = [
-    "alerts",
     "metrics",
     "sampling",
     "slo",
     "trace",
-    "AlertEmitter",
     "MetricsRegistry",
     "get_registry",
     "TraceSampler",

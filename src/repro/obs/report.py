@@ -6,15 +6,11 @@ perf-over-commits trend table from ``results/perf_trend.jsonl``, and a
 ``--capacity`` planning mode that combines measured QPS with the recorded
 shard-scaling efficiency to answer "how many shards for X requests/second".
 
-Everything renders in ASCII with zero third-party dependencies; when
-matplotlib happens to be installed, ``--plots DIR`` additionally writes PNG
-versions of the scaling and latency views.  matplotlib is *not* a dependency
-of this repo and the import is gated accordingly.
+Everything renders in ASCII with zero third-party dependencies.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import time
@@ -28,16 +24,11 @@ __all__ = [
     "render_trend_table",
     "capacity_plan",
     "render_capacity",
-    "matplotlib_available",
     "ascii_bar",
     "format_table",
 ]
 
 _BAR_WIDTH = 36
-
-
-def matplotlib_available() -> bool:
-    return importlib.util.find_spec("matplotlib") is not None
 
 
 # ----------------------------------------------------------------- loading
@@ -459,52 +450,12 @@ def render_capacity(plan: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-# ------------------------------------------------------------------ plots
-def write_plots(docs: Sequence[Tuple[str, Dict[str, Any]]], outdir: str) -> List[str]:
-    """PNG versions of the scaling/latency views; requires matplotlib."""
-    if not matplotlib_available():
-        raise RuntimeError("matplotlib is not installed; ASCII output only")
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    os.makedirs(outdir, exist_ok=True)
-    written: List[str] = []
-    for _, doc in docs:
-        name = doc.get("experiment")
-        if name == "shard_scaling":
-            xs = [p["params"]["shards"] for p in doc["points"]]
-            ys = [p["metrics"]["qps"] for p in doc["points"]]
-            fig, ax = plt.subplots()
-            ax.plot(xs, ys, marker="o")
-            ax.set_xlabel("shards"); ax.set_ylabel("qps"); ax.set_title("shard scaling")
-            path = os.path.join(outdir, "shard_scaling.png")
-            fig.savefig(path); plt.close(fig); written.append(path)
-        elif name == "service_latency":
-            labels, p50, p99 = [], [], []
-            for p in doc["points"]:
-                labels.append(f"{p['params'].get('pattern')}/b{p['params'].get('batch')}")
-                p50.append(p["metrics"].get("p50_ms", 0))
-                p99.append(p["metrics"].get("p99_ms", 0))
-            fig, ax = plt.subplots()
-            xs = range(len(labels))
-            ax.bar([x - 0.2 for x in xs], p50, width=0.4, label="p50")
-            ax.bar([x + 0.2 for x in xs], p99, width=0.4, label="p99")
-            ax.set_xticks(list(xs)); ax.set_xticklabels(labels, rotation=30)
-            ax.set_ylabel("ms"); ax.legend(); ax.set_title("service latency")
-            path = os.path.join(outdir, "service_latency.png")
-            fig.savefig(path); plt.close(fig); written.append(path)
-    return written
-
-
 # ------------------------------------------------------------------ driver
 def render_report(
     paths: Sequence[str],
     *,
     trend_path: Optional[str] = None,
     capacity_qps: Optional[float] = None,
-    plots_dir: Optional[str] = None,
     slo: bool = False,
 ) -> str:
     """The full report text; the CLI prints this verbatim."""
@@ -516,12 +467,4 @@ def render_report(
         sections.append(render_trend_table(trend_path))
     if capacity_qps is not None:
         sections.append(render_capacity(capacity_plan(docs, capacity_qps)))
-    if plots_dir is not None:
-        if matplotlib_available():
-            written = write_plots(docs, plots_dir)
-            sections.append("plots written:\n" + "\n".join(f"  {p}" for p in written))
-        else:
-            sections.append(
-                f"plots skipped: matplotlib not installed (ASCII output above is complete)"
-            )
     return "\n\n\n".join(sections) + "\n"

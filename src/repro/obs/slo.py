@@ -47,7 +47,6 @@ __all__ = [
     "SLOEngine",
     "SLO_SCHEMA_ID",
     "default_objectives",
-    "objectives_from_config",
 ]
 
 SLO_SCHEMA_ID = "repro.server.slo"
@@ -116,33 +115,6 @@ def default_objectives() -> List[SLObjective]:
             threshold_seconds=0.25,
         ),
     ]
-
-
-def objectives_from_config(config: Sequence[Mapping[str, Any]]) -> List[SLObjective]:
-    """Build objectives from a JSON-ish list (the ``--slo-config`` format).
-
-    Each entry: ``{"name", "kind", "target", "route"?, "threshold_ms"? |
-    "threshold_seconds"?}``.
-    """
-    objectives: List[SLObjective] = []
-    for index, entry in enumerate(config):
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"slo config entry {index} must be an object")
-        threshold = entry.get("threshold_seconds")
-        if threshold is None and entry.get("threshold_ms") is not None:
-            threshold = float(entry["threshold_ms"]) / 1000.0
-        objectives.append(
-            SLObjective(
-                name=str(entry.get("name", f"objective-{index}")),
-                kind=str(entry.get("kind", "availability")),
-                target=float(entry["target"]),
-                route=entry.get("route"),
-                threshold_seconds=threshold,
-            )
-        )
-    if not objectives:
-        raise ValueError("slo config must declare at least one objective")
-    return objectives
 
 
 # ----------------------------------------------------------- measurement

@@ -1,12 +1,10 @@
 """Policy-driven resilience for the serving path.
 
-Four small, injectable-clock primitives the serving stack composes:
+Three small, injectable-clock primitives the serving stack composes:
 
 - :mod:`~repro.resilience.deadline` — request budgets propagated edge →
   coalesce → router → worker pipe via a contextvar scope; expiry is a
   structured 504 at the edge and a counted, traced event everywhere.
-- :mod:`~repro.resilience.retry` — decorrelated-jitter backoff + a
-  process-wide retry budget, replacing the router's fixed retry loop.
 - :mod:`~repro.resilience.breaker` — per-shard circuit breakers
   (closed → open → half-open) gating worker dispatch; open shards serve
   from the router's inline degraded fallback.
@@ -35,7 +33,6 @@ from .faults import (
     plan_from_spec,
     uninstall_plan,
 )
-from .retry import RetryBudget, RetryPolicy
 
 __all__ = [
     "BREAKER_STATE_CODES",
@@ -48,8 +45,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
-    "RetryBudget",
-    "RetryPolicy",
     "active_plan",
     "current_deadline",
     "deadline_scope",

@@ -10,8 +10,8 @@ the router's dispatch pool both ship context copies).
 
 Each layer *reads the remaining budget* rather than receiving a decremented
 copy: the edge checks it before admitting work, the coalescer bounds its
-wait on the pending pass, the router refuses to dispatch (and to back off)
-past it, and the worker pipe polls with at most the remaining budget.
+wait on the pending pass, the router refuses to dispatch (or retry) past
+it, and the worker pipe polls with at most the remaining budget.
 Expiry surfaces as :class:`DeadlineExceeded` and is counted per stage on
 ``repro_deadline_expired_total`` so ``/metrics`` shows *where* budgets die.
 """
@@ -19,6 +19,7 @@ Expiry surfaces as :class:`DeadlineExceeded` and is counted per stage on
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from contextvars import ContextVar
 from typing import Callable, Iterator, Optional
@@ -74,9 +75,18 @@ class Deadline:
     def after_ms(
         cls, budget_ms: float, *, clock: Callable[[], float] = time.monotonic
     ) -> "Deadline":
+        """A deadline ``budget_ms`` from now.
+
+        Every budget source (header, document, server default) goes through
+        this one check: ``ValueError`` unless ``0 < budget_ms < inf``, so
+        NaN and infinity are refused, and ``TypeError`` for a non-number.
+        """
         budget_ms = float(budget_ms)
-        if budget_ms <= 0:
-            raise ValueError(f"deadline budget must be positive, got {budget_ms}")
+        if not 0.0 < budget_ms < math.inf:
+            raise ValueError(
+                f"deadline budget must be a positive, finite number of "
+                f"milliseconds, got {budget_ms}"
+            )
         return cls(clock() + budget_ms / 1000.0, budget_ms=budget_ms, clock=clock)
 
     def remaining(self) -> float:

@@ -63,7 +63,6 @@ from ..obs.metrics import (
     snapshot_timing,
     snapshot_value,
 )
-from ..obs.alerts import AlertEmitter
 from ..obs.sampling import TraceSampler
 from ..obs.slo import SLOEngine
 from ..obs.trace import Tracer, current_trace_id, span, span_event
@@ -93,11 +92,11 @@ __all__ = [
 
 BATCH_SCHEMA_ID = "repro.server.batch"
 STATS_SCHEMA_ID = "repro.server.stats"
-STATS_SCHEMA_VERSION = 3
+STATS_SCHEMA_VERSION = 4
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Period of the background SLO evaluation that feeds the alert emitter
-#: and the SLO history file (seconds).
+#: Period of the background task that appends a row to the SLO history
+#: file (seconds).
 _SLO_EVAL_SECONDS = 5.0
 
 
@@ -185,16 +184,13 @@ class ServerCore:
         sampler: Optional[TraceSampler] = None,
         slo_engine: Optional[SLOEngine] = None,
         default_deadline_ms: Optional[float] = None,
-        alert_emitter: Optional[AlertEmitter] = None,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be positive, got {max_inflight}")
         if build_queue_limit < 1:
             raise ValueError(f"build_queue_limit must be positive, got {build_queue_limit}")
-        if default_deadline_ms is not None and default_deadline_ms <= 0:
-            raise ValueError(
-                f"default_deadline_ms must be positive, got {default_deadline_ms}"
-            )
+        if default_deadline_ms is not None:
+            Deadline.after_ms(default_deadline_ms)  # the edge's budget check
         self.service = service if service is not None else QueryService()
         # Shard routers advertise how many calls may run at once; plain
         # services default to 1 and keep the historical strict serialisation.
@@ -232,10 +228,6 @@ class ServerCore:
         #: not carry its own ``X-Repro-Deadline-Ms`` header.  ``None`` keeps
         #: the historical unbounded behaviour.
         self.default_deadline_ms = default_deadline_ms
-        #: Deduplicated page/ticket emission; when set, a background loop
-        #: evaluates the SLO engine every ``_SLO_EVAL_SECONDS`` and feeds
-        #: the verdicts through the emitter.
-        self.alert_emitter = alert_emitter
 
         self.inflight = 0
         self.peak_inflight = 0
@@ -301,26 +293,22 @@ class ServerCore:
         self._executor = ThreadPoolExecutor(
             max_workers=self.service_concurrency, thread_name_prefix="repro-service"
         )
-        if self.alert_emitter is not None or self.slo.history_path is not None:
-            # Continuous evaluation matters when someone is listening
-            # (alerts) or when the window history must persist across
-            # restarts; otherwise /debug/slo evaluates on demand as before.
+        if self.slo.history_path is not None:
+            # The window history must persist across restarts even when
+            # nobody reads /debug/slo, which otherwise evaluates on demand.
             self._spawn(self._slo_loop())
 
-    def _evaluate_slo(self) -> Dict[str, Any]:
-        """One SLO tick (runs on the service thread: snapshots poll pipes)."""
-        document = self.slo.evaluate(self.metrics_snapshot())
-        if self.alert_emitter is not None:
-            self.alert_emitter.consume(document)
-        return document
+    def _record_slo(self) -> None:
+        """One SLO history row (runs on the service thread: snapshots poll pipes)."""
+        self.slo.record(self.metrics_snapshot())
 
     async def _slo_loop(self) -> None:
-        """Periodic SLO evaluation: feeds the alert emitter + history file."""
+        """Periodic SLO recording: appends to the history file."""
         while True:
             await asyncio.sleep(_SLO_EVAL_SECONDS)
             try:
-                await self._in_service_thread(self._evaluate_slo)
-            except Exception:  # noqa: BLE001 — the eval loop must survive
+                await self._in_service_thread(self._record_slo)
+            except Exception:  # noqa: BLE001 — the recording loop must survive
                 self._internal_errors.inc()
 
     async def shutdown(self) -> None:
@@ -368,16 +356,13 @@ class ServerCore:
                 return None
             return Deadline.after_ms(self.default_deadline_ms)
         try:
-            budget_ms = float(raw)
-            if budget_ms <= 0:
-                raise ValueError
+            return Deadline.after_ms(raw)
         except (TypeError, ValueError):
             raise _HttpError(
                 400,
-                f"X-Repro-Deadline-Ms must be a positive number of "
+                f"X-Repro-Deadline-Ms must be a positive, finite number of "
                 f"milliseconds, got {raw!r}",
             ) from None
-        return Deadline.after_ms(budget_ms)
 
     async def handle(
         self,
@@ -628,23 +613,21 @@ class ServerCore:
         cannot talk itself into more time than the operator allowed.
         """
         doc_deadline: Optional[Deadline] = None
-        if isinstance(document, dict) and document.get("deadline_ms") is not None:
+        budget_ms = document.get("deadline_ms") if isinstance(document, dict) else None
+        if budget_ms is not None:
+            ambient = current_deadline()
             try:
-                budget_ms = float(document["deadline_ms"])
-                if budget_ms <= 0:
-                    raise ValueError
+                doc_deadline = (
+                    ambient.tighten_ms(budget_ms)
+                    if ambient is not None
+                    else Deadline.after_ms(budget_ms)
+                )
             except (TypeError, ValueError):
                 raise _HttpError(
                     400,
-                    f"deadline_ms must be a positive number of milliseconds, "
-                    f"got {document['deadline_ms']!r}",
+                    f"deadline_ms must be a positive, finite number of "
+                    f"milliseconds, got {budget_ms!r}",
                 ) from None
-            ambient = current_deadline()
-            doc_deadline = (
-                ambient.tighten_ms(budget_ms)
-                if ambient is not None
-                else Deadline.after_ms(budget_ms)
-            )
         with deadline_scope(doc_deadline):
             return await self._post_batch_inner(document)
 
@@ -1094,11 +1077,6 @@ class ServerCore:
             },
             "resilience": {
                 "default_deadline_ms": self.default_deadline_ms,
-                "alerts": (
-                    self.alert_emitter.stats()
-                    if self.alert_emitter is not None
-                    else None
-                ),
                 "slo_history_path": self.slo.history_path,
             },
             "coalescing": {

@@ -172,8 +172,7 @@ def start_server(
 
     ``options`` go straight to :class:`~repro.server.core.ServerCore`
     (admission limits, retry hint, default seed, trace sampler, SLO engine,
-    default deadline, alert emitter).  The server runs on a dedicated
-    event-loop thread.
+    default deadline).  The server runs on a dedicated event-loop thread.
 
     The caller owns the handle: ``handle.stop()`` closes the listener and
     shuts the core down; a second call does nothing.

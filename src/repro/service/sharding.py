@@ -26,8 +26,9 @@ Worker lifecycle follows the prepare/submit/wait-with-retry fan-out shape of
 the cluster-tools pattern: sub-batches are prepared per shard
 (``n_jobs = min(len(sub_batches), shards)``), submitted over per-worker
 pipes, and a worker that dies mid-call (detected by pipe EOF / liveness) is
-restarted and its sub-batch retried a bounded number of times before the
-error surfaces.  When processes cannot be spawned at all — a daemonic
+restarted and its sub-batch retried at once, a bounded number of times,
+before the error surfaces; a crash loop trips the shard's circuit breaker
+into degraded serving.  When processes cannot be spawned at all — a daemonic
 experiment-runner worker, a sandbox without ``multiprocessing`` primitives,
 or an explicit ``force_serial=True`` — the router degrades gracefully to
 **in-process shards** with identical semantics (same ring, same per-shard
@@ -59,7 +60,6 @@ import contextvars
 import functools
 import hashlib
 import os
-import random
 import shutil
 import threading
 import time
@@ -80,7 +80,6 @@ from ..obs.trace import span, span_event
 from ..resilience.breaker import BREAKER_STATE_CODES, CircuitBreaker
 from ..resilience.deadline import DeadlineExceeded, current_deadline, note_expiry
 from ..resilience.faults import FaultPlan, active_plan, fault_point, install_plan
-from ..resilience.retry import RetryBudget, RetryPolicy
 from .cache import DEFAULT_CACHE_BYTES, IndexCache
 from .index import INDEX_KINDS, lcs_index_fingerprint, lis_index_fingerprint
 from .requests import OPS, QueryRequest, ServiceRequestError, TargetSpec
@@ -129,7 +128,7 @@ class ShardWorkerHang(ShardWorkerCrash):
 
 
 class ShardRetriesExhausted(RuntimeError):
-    """A sub-batch failed through every allowed retry (crash loop / budget)."""
+    """A sub-batch crashed its worker on the first try and every retry."""
 
 
 class ConsistentHashRing:
@@ -608,14 +607,10 @@ class ShardRouter:
         Spill root; every worker derives a private ``shardI-pidP``
         subdirectory under it and removes it at shutdown.
     retry_limit:
-        Bounded restart-and-retry attempts per sub-batch after a worker
-        crash (the prepare/submit/wait-with-retry fan-out pattern).  The
-        retries themselves are paced by ``retry_policy`` and capped by
-        ``retry_budget``.
-    retry_policy, retry_budget:
-        Decorrelated-jitter backoff between retries and the process-wide
-        retry token bucket (defaults: :class:`RetryPolicy()` /
-        :class:`RetryBudget()`).
+        Immediate restart-and-retry attempts per sub-batch after a worker
+        crash (the prepare/submit/wait-with-retry fan-out pattern).  A
+        crash loop past them is bounded by the shard's circuit breaker,
+        which every failed attempt feeds.
     worker_timeout:
         Liveness budget (seconds) for one worker pipe wait; a worker
         silent past it is killed and restarted like a crashed one.
@@ -638,8 +633,6 @@ class ShardRouter:
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         spill_dir: Optional[str] = None,
         retry_limit: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
-        retry_budget: Optional[RetryBudget] = None,
         worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
         fault_plan: Optional[FaultPlan] = None,
         force_serial: bool = False,
@@ -654,8 +647,6 @@ class ShardRouter:
             raise ValueError(f"worker_timeout must be positive, got {worker_timeout}")
         self.shards = int(shards)
         self.retry_limit = int(retry_limit)
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.retry_budget = retry_budget if retry_budget is not None else RetryBudget()
         self.worker_timeout = float(worker_timeout)
         if fault_plan is not None:
             # The router-side sites (pipe.send/recv, and cache/build sites
@@ -682,9 +673,6 @@ class ShardRouter:
         )
         self._fingerprints: Dict[Tuple[TargetSpec, str, bool], str] = {}
         self.closed = False
-        #: Deterministic jitter source + injectable sleep (tests stub both).
-        self._rng = random.Random(0x5EED ^ self.shards)
-        self._sleep = time.sleep
         #: The degraded fallback: built on the first open breaker and called
         #: only under ``_fallback_lock``, because a ``QueryService`` is
         #: single-threaded and every pool thread may need it at once.
@@ -833,15 +821,16 @@ class ShardRouter:
         request_count: int = 0,
         breaker: Optional[CircuitBreaker] = None,
     ) -> Any:
-        """One worker command with crash/hang detection, backoff-paced retry.
+        """One worker command with crash/hang detection and immediate retry.
 
         The wait on the pipe is bounded twice over: by ``worker_timeout``
         (liveness — a silent worker is killed and restarted) and by the
         ambient request deadline (the call is abandoned, the worker lives).
-        Crashes retry up to ``retry_limit`` times, each retry paced by the
-        decorrelated-jitter :class:`RetryPolicy` and paid for from the
-        shared :class:`RetryBudget`; when ``breaker`` is given, every
-        attempt's outcome feeds the shard's circuit breaker.
+        A crash restarts the worker and retries at once, up to
+        ``retry_limit`` times (a private worker behind ``worker.lock`` has
+        no other callers to back off for).  When ``breaker`` is given, every
+        attempt's outcome feeds the shard's circuit breaker, which turns a
+        crash loop into degraded serving.
         """
         worker = self._workers[shard_id]
         deadline = current_deadline()
@@ -850,7 +839,6 @@ class ShardRouter:
             waited = time.perf_counter() - waited_from
             last_crash: Optional[ShardWorkerCrash] = None
             attempt = 0
-            delay = 0.0
             while True:
                 if deadline is not None and deadline.expired:
                     note_expiry("router", shard=shard_id, cmd=cmd)
@@ -886,29 +874,8 @@ class ShardRouter:
                     self._restarts.inc(shard=shard_id)
                     if attempt > self.retry_limit:
                         break
-                    if not self.retry_budget.try_spend():
-                        raise ShardRetriesExhausted(
-                            f"shard {shard_id} worker crashed and the retry budget "
-                            f"is exhausted; failing fast ({last_crash})"
-                        )
-                    delay = self.retry_policy.backoff(delay, self._rng)
-                    if deadline is not None:
-                        remaining = deadline.remaining()
-                        if remaining <= 0.0:
-                            note_expiry("router", shard=shard_id, cmd=cmd)
-                            raise DeadlineExceeded(
-                                f"deadline expired backing off for shard {shard_id}",
-                                stage="router",
-                            )
-                        delay = min(delay, remaining)
                     self._retries.inc()
-                    span_event(
-                        "shard_retry",
-                        shard=shard_id,
-                        attempt=attempt,
-                        backoff_seconds=delay,
-                    )
-                    self._sleep(delay)
+                    span_event("shard_retry", shard=shard_id, attempt=attempt)
                     continue
                 except DeadlineExceeded:
                     raise
@@ -916,7 +883,6 @@ class ShardRouter:
                     # The worker answered; the *request* was bad.  Healthy.
                     if breaker is not None:
                         breaker.record_success()
-                    self.retry_budget.credit()
                     raise
                 except RuntimeError:
                     # Structured internal error (or an injected router-side
@@ -927,7 +893,6 @@ class ShardRouter:
                     raise
                 if breaker is not None:
                     breaker.record_success()
-                self.retry_budget.credit()
                 executed = time.perf_counter() - executing_from
                 self._pipe_seconds.observe(executed, cmd=cmd)
                 if request_count:
@@ -1214,12 +1179,6 @@ class ShardRouter:
 
         resilience: Dict[str, Any] = {
             "worker_timeout_seconds": self.worker_timeout,
-            "retry_policy": {
-                "base_seconds": self.retry_policy.base_seconds,
-                "cap_seconds": self.retry_policy.cap_seconds,
-                "multiplier": self.retry_policy.multiplier,
-            },
-            "retry_budget": self.retry_budget.stats(),
             "hangs": count("repro_shard_hangs_total"),
             "degraded_requests": count("repro_degraded_requests_total"),
             "breakers": {

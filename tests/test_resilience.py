@@ -2,11 +2,11 @@
 
 Three tiers:
 
-* property tests with injected clocks/rngs — jitter bounds, retry-budget
-  exhaustion, the breaker state machine, deadline math.  No sleeps.
+* property tests with injected clocks — the breaker state machine,
+  deadline math, fault-plan firing.  No sleeps.
 * router integration — hung-worker kill/restart, pipe resync after a
-  deadline-abandoned call, degraded serving while a breaker is open, all
-  against the real worker processes.
+  deadline-abandoned call, a crash loop tripping the breaker, degraded
+  serving while a breaker is open, all against the real worker processes.
 * chaos end-to-end — the HTTP server under a seeded :class:`FaultPlan`
   injecting worker hangs, crashes and spill corruption: every request is
   answered (possibly ``degraded``) or fails fast with a structured 5xx,
@@ -18,13 +18,11 @@ Three tiers:
 import contextvars
 import json
 import pickle
-import random
 import threading
 import time
 
 import pytest
 
-from repro.obs.alerts import AlertEmitter
 from repro.obs.metrics import snapshot_value
 from repro.obs.slo import SLOEngine, SLObjective, WINDOWS
 from repro.resilience import (
@@ -36,8 +34,6 @@ from repro.resilience import (
     FaultPlan,
     FaultRule,
     InjectedFault,
-    RetryBudget,
-    RetryPolicy,
     current_deadline,
     deadline_scope,
     install_plan,
@@ -46,7 +42,7 @@ from repro.resilience import (
 )
 from repro.server import get_json, post_json, start_server
 from repro.service import IndexCache, QueryService, parse_requests_document
-from repro.service.sharding import ShardRouter, ShardWorkerHang
+from repro.service.sharding import ShardRetriesExhausted, ShardRouter, ShardWorkerHang
 
 
 class FakeClock:
@@ -88,6 +84,11 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline.after_ms(-5.0)
 
+    def test_budget_must_be_finite(self):
+        for budget in (float("nan"), float("inf"), "1e400"):
+            with pytest.raises(ValueError):
+                Deadline.after_ms(budget)
+
     def test_tighten_keeps_the_stricter_deadline(self):
         clock = FakeClock()
         loose = Deadline.after_ms(1000.0, clock=clock)
@@ -119,73 +120,6 @@ class TestDeadline:
         thread.start()
         thread.join()
         assert seen["deadline"] is deadline
-
-
-# ------------------------------------------------------------ retry policy
-class TestRetryPolicy:
-    def test_jitter_bounds_hold_for_many_seeds(self):
-        """Property: every draw is in [base, min(cap, max(base, prev*mult))]."""
-        policy = RetryPolicy(base_seconds=0.01, cap_seconds=1.0, multiplier=3.0)
-        for seed in range(50):
-            rng = random.Random(seed)
-            previous = 0.0
-            for _ in range(20):
-                draw = policy.backoff(previous, rng)
-                upper = min(
-                    policy.cap_seconds,
-                    max(policy.base_seconds, previous * policy.multiplier),
-                )
-                assert policy.base_seconds <= draw or draw == upper
-                assert draw <= policy.cap_seconds
-                assert draw >= min(policy.base_seconds, upper)
-                assert draw <= max(policy.base_seconds, upper)
-                previous = draw
-
-    def test_first_backoff_draws_from_base(self):
-        policy = RetryPolicy(base_seconds=0.05, cap_seconds=2.0, multiplier=3.0)
-        rng = random.Random(7)
-        # previous=0 → uniform(base, base) == base exactly.
-        assert policy.backoff(0.0, rng) == pytest.approx(policy.base_seconds)
-
-    def test_cap_bounds_runaway_growth(self):
-        policy = RetryPolicy(base_seconds=0.5, cap_seconds=1.0, multiplier=100.0)
-        rng = random.Random(0)
-        previous = 0.5
-        for _ in range(10):
-            previous = policy.backoff(previous, rng)
-            assert previous <= 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(base_seconds=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_seconds=1.0, cap_seconds=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-
-
-class TestRetryBudget:
-    def test_exhaustion_and_refill(self):
-        budget = RetryBudget(capacity=3.0, refill_per_success=0.5)
-        assert budget.try_spend() and budget.try_spend() and budget.try_spend()
-        assert not budget.try_spend()  # bucket empty
-        assert budget.exhausted == 1
-        budget.credit()  # 0.5 tokens: still under one whole token
-        assert not budget.try_spend()
-        budget.credit()  # 1.0 token
-        assert budget.try_spend()
-        assert budget.spent == 4
-
-    def test_credit_caps_at_capacity(self):
-        budget = RetryBudget(capacity=2.0, refill_per_success=5.0)
-        budget.credit()
-        assert budget.tokens == 2.0
-
-    def test_stats_shape(self):
-        stats = RetryBudget(capacity=4.0).stats()
-        assert stats["capacity"] == 4.0
-        assert stats["tokens"] == 4.0
-        assert stats["spent"] == 0 and stats["exhausted"] == 0
 
 
 # ---------------------------------------------------------- circuit breaker
@@ -389,7 +323,7 @@ class TestFaultPlan:
         assert stats["rules"][0]["fired"] == 1
 
 
-# ------------------------------------------------------- SLO history + alerts
+# --------------------------------------------------------------- SLO history
 class TestSLOHistory:
     def _snapshot(self, good, total):
         return {
@@ -461,64 +395,37 @@ class TestSLOHistory:
         engine.record(self._snapshot(1, 1))
         assert list(tmp_path.iterdir()) == []
 
-
-class TestAlertEmitter:
-    def _doc(self, severity):
-        return {
-            "objectives": [
-                {
-                    "name": "avail",
-                    "alerts": {"severity": severity},
-                    "windows": {"5m": {"burn_rate": 20.0}},
-                }
-            ]
-        }
-
-    def test_transition_fires_and_steady_state_dedups(self):
-        clock = FakeClock()
-        seen = []
-        emitter = AlertEmitter(cooldown_seconds=60.0, sink=seen.append, clock=clock)
-        assert emitter.consume(self._doc("ok")) == []  # healthy start: quiet
-        fired = emitter.consume(self._doc("page"))
-        assert len(fired) == 1 and fired[0]["event"] == "fired"
-        clock.advance(10.0)
-        assert emitter.consume(self._doc("page")) == []  # within cooldown
-        assert emitter.suppressed_total == 1
-        clock.advance(60.0)
-        reminder = emitter.consume(self._doc("page"))
-        assert len(reminder) == 1 and reminder[0]["event"] == "reminder"
-        assert len(seen) == 2
-
-    def test_severity_change_bypasses_cooldown(self):
-        clock = FakeClock()
-        emitter = AlertEmitter(cooldown_seconds=600.0, sink=lambda a: None, clock=clock)
-        emitter.consume(self._doc("page"))
-        clock.advance(1.0)
-        changed = emitter.consume(self._doc("ticket"))
-        assert len(changed) == 1 and changed[0]["severity"] == "ticket"
-
-    def test_recovery_emits_resolved_exactly_once(self):
-        clock = FakeClock()
-        events = []
-        emitter = AlertEmitter(
-            cooldown_seconds=0.0, sink=lambda a: events.append(a["event"]), clock=clock
+    def test_server_appends_history_rows_while_serving(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.server.core._SLO_EVAL_SECONDS", 0.05)
+        path = tmp_path / "slo.jsonl"
+        handle = start_server(
+            QueryService(), slo_engine=SLOEngine(history_path=str(path))
         )
-        emitter.consume(self._doc("page"))
-        emitter.consume(self._doc("ok"))
-        emitter.consume(self._doc("ok"))
-        emitter.consume(self._doc("ok"))
-        assert events == ["fired", "resolved"]
-        assert emitter.stats()["active"] == {}
+        try:
+            assert len(handle.core._tasks) == 1
+            status, _, _ = post_json(handle.url + "/v2/batch", _BATCH)
+            assert status == 200
+            # Wait (bounded) for a periodic row recorded after the batch.
+            served = []
+            give_up = time.monotonic() + 10.0
+            while not served and time.monotonic() < give_up:
+                time.sleep(0.05)
+                text = path.read_text() if path.exists() else ""
+                rows = [json.loads(line) for line in text.splitlines()]
+                served = [
+                    row for row in rows
+                    if row["totals"]["batch-availability-99.9"][1] >= 1
+                ]
+            assert served, "no SLO history row recorded the served batch"
+        finally:
+            handle.stop()
 
-    def test_webhook_failure_is_counted_not_raised(self):
-        emitter = AlertEmitter(
-            cooldown_seconds=0.0,
-            sink=lambda a: None,
-            webhook_url="http://127.0.0.1:1/unroutable",
-            webhook_timeout_seconds=0.2,
-        )
-        emitter.consume(self._doc("page"))
-        assert emitter.webhook_errors == 1
+    def test_no_history_path_means_no_background_task(self):
+        handle = start_server(QueryService())
+        try:
+            assert handle.core._tasks == set()
+        finally:
+            handle.stop()
 
 
 # ----------------------------------------------------- router integration
@@ -685,9 +592,9 @@ class TestRouterResilience:
         oracle = QueryService().submit(requests)
         assert [o.result for o in result.outcomes] == [o.result for o in oracle.outcomes]
 
-    def test_crash_retries_use_the_budget(self):
-        # A worker that crashes on its 2nd dispatch: one retry, then the
-        # restarted incarnation answers.  The retry must have spent budget.
+    def test_crash_is_restarted_and_retried(self):
+        # A worker that crashes on its 2nd dispatch: one immediate retry,
+        # then the restarted incarnation answers.
         plan = FaultPlan([FaultRule("worker.dispatch", "crash", hits=[2])])
         with ShardRouter(1, fault_plan=plan) as router:
             if router.serial_fallback:
@@ -701,22 +608,30 @@ class TestRouterResilience:
             ]
             stats = router.stats()
             assert stats["retries"] >= 1
-            assert stats["resilience"]["retry_budget"]["spent"] >= 1
 
-    def test_retry_budget_exhaustion_fails_fast(self):
+    def test_crash_loop_trips_the_breaker_into_degraded_serving(self):
+        # Every submit dispatch crashes its worker.  The first submit gets a
+        # restart and retry_limit=2 immediate retries, then fails fast; the
+        # second submit's 5th consecutive failure trips the breaker, so its
+        # sub-batch is served degraded instead of failing.
         plan = FaultPlan(
-            [FaultRule("worker.dispatch", "crash", probability=1.0)]
+            [FaultRule("worker.dispatch", "crash", probability=1.0, match={"cmd": "submit"})]
         )
-        budget = RetryBudget(capacity=1.0, refill_per_success=0.0)
-        with ShardRouter(
-            1, retry_limit=5, retry_budget=budget, fault_plan=plan,
-            retry_policy=RetryPolicy(base_seconds=0.001, cap_seconds=0.002),
-        ) as router:
+        with ShardRouter(1, fault_plan=plan) as router:
             if router.serial_fallback:
                 pytest.skip("no process workers in this environment")
-            with pytest.raises(RuntimeError, match="retry budget"):
-                router.submit(_requests_for(_BATCH))
-            assert budget.exhausted >= 1
+            requests = _requests_for(_BATCH)
+            with pytest.raises(ShardRetriesExhausted, match="crashed 3 times"):
+                router.submit(requests)
+            result = router.submit(requests)
+            assert all(o.degraded for o in result.outcomes)
+            assert [o.result for o in result.outcomes] == [
+                o.result for o in QueryService().submit(requests).outcomes
+            ]
+            stats = router.stats()
+            assert stats["restarts"] == 6
+            assert stats["retries"] == 4
+            assert stats["resilience"]["breakers"]["0"]["state"] == "open"
 
     def test_registry_reset_gives_restarted_workers_a_clean_slate(self):
         """Fork copies the parent registry; reset() must zero it in place.
@@ -743,10 +658,6 @@ class TestRouterResilience:
         with ShardRouter(2, force_serial=True) as router:
             doc = router.stats()["resilience"]
             assert doc["worker_timeout_seconds"] > 0
-            assert set(doc["retry_policy"]) == {
-                "base_seconds", "cap_seconds", "multiplier",
-            }
-            assert doc["retry_budget"]["capacity"] > 0
             assert doc["hangs"] == 0 and doc["degraded_requests"] == 0
             assert set(doc["breakers"]) == {"0", "1"}
 
@@ -806,16 +717,25 @@ class TestHttpDeadlines:
                 handle.url + "/v2/batch", {**_BATCH, "deadline_ms": -5}
             )
             assert status == 400
+
+            # json.dumps writes these as the raw JSON tokens NaN and
+            # Infinity, which json.loads on the server accepts.
+            for budget in (float("nan"), float("inf")):
+                status, _, body = post_json(
+                    handle.url + "/v2/batch", {**_BATCH, "deadline_ms": budget}
+                )
+                assert status == 400 and "deadline_ms" in body["error"], budget
         finally:
             handle.stop()
 
-    def test_bad_header_is_a_400(self):
+    @pytest.mark.parametrize("header", ["soon", "nan", "inf", "1e400"])
+    def test_bad_header_is_a_400(self, header):
         handle = start_server(QueryService())
         try:
             status, _, body = post_json(
                 handle.url + "/v2/batch",
                 _BATCH,
-                headers={"X-Repro-Deadline-Ms": "soon"},
+                headers={"X-Repro-Deadline-Ms": header},
             )
             assert status == 400 and "X-Repro-Deadline-Ms" in body["error"]
         finally:
@@ -848,7 +768,6 @@ class TestChaosEndToEnd:
             spill_dir=str(tmp_path / "spill"),
             worker_timeout=0.5,
             fault_plan=plan,
-            retry_policy=RetryPolicy(base_seconds=0.01, cap_seconds=0.05),
         )
         if router.serial_fallback:
             router.close()

@@ -39,7 +39,6 @@ from repro.obs.slo import (
     SLOEngine,
     SLObjective,
     default_objectives,
-    objectives_from_config,
 )
 from repro.obs.trace import Tracer, span, span_event
 from repro.server import get_json, post_json, start_server
@@ -241,23 +240,6 @@ class TestSLOEngine:
             SLObjective(name="x", kind="availability", target=1.0)
         with pytest.raises(ValueError):
             SLObjective(name="x", kind="latency", target=0.99)  # no threshold
-
-    def test_objectives_from_config_accepts_threshold_ms(self):
-        objectives = objectives_from_config(
-            [
-                {"name": "avail", "kind": "availability", "target": 0.999},
-                {
-                    "name": "lat",
-                    "kind": "latency",
-                    "target": 0.99,
-                    "route": "/v2/batch",
-                    "threshold_ms": 250,
-                },
-            ]
-        )
-        assert objectives[1].threshold_seconds == 0.25
-        with pytest.raises(ValueError):
-            objectives_from_config([])
 
     def test_burn_rate_math_over_windows(self):
         clock = {"now": 1_000_000.0}
