@@ -145,7 +145,7 @@ assert record["status"] == "done", record
 stats = call("GET", "/stats")
 assert stats["requests"]["answered"] == 4, stats["requests"]
 assert stats["builds"]["done"] == 1, stats["builds"]
-assert stats["stats_schema"] == "repro.server.stats.v4", stats["stats_schema"]
+assert stats["stats_schema"] == "repro.server.stats.v5", stats["stats_schema"]
 
 # The codec answers a malformed frame with a prompt 400, not a traceback.
 import socket

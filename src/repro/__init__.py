@@ -5,8 +5,8 @@ Public API highlights
 ---------------------
 * :mod:`repro.core` — permutation / sub-permutation matrices and sequential
   (sub)unit-Monge multiplication (``repro.core.multiply``): the
-  allocation-lean iterative engine, the retained recursive reference oracle
-  and the :class:`~repro.core.plan.MultiplyPlan` tuning knobs.
+  allocation-lean iterative engine and the retained recursive reference
+  oracle.
 * :mod:`repro.mpc` — a deterministic MPC simulator with round, space and
   communication accounting, plus the standard O(1)-round primitives.
 * :mod:`repro.mpc_monge` — the paper's O(1)-round multiplication (Theorem 1.1 /

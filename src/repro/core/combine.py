@@ -126,9 +126,8 @@ class ColoredPointSet:
     Provides vectorised evaluation of the sub-result distribution matrices
     ``PΣ_{C,x}`` and of ``PΣ_C = min_q F_q`` at arbitrary batches of corners.
 
-    ``dense_table_limit`` overrides the module-level dense-table budget
-    (plans thread their tuned value through here); ``None`` keeps the
-    default.
+    ``dense_table_limit`` overrides the module-level :data:`DENSE_TABLE_LIMIT`
+    (tests force the sparse path with ``0``); ``None`` keeps the default.
     """
 
     def __init__(
@@ -390,15 +389,9 @@ def combine_colored(
     num_colors: int,
     n_rows: int,
     n_cols: int,
-    *,
-    dense_table_limit: Optional[int] = None,
 ) -> SubPermutation:
     """Convenience wrapper: build a :class:`ColoredPointSet` and combine it."""
-    point_set = ColoredPointSet(
-        rows, cols, colors, num_colors, n_rows, n_cols,
-        dense_table_limit=dense_table_limit,
-    )
-    return point_set.combine()
+    return ColoredPointSet(rows, cols, colors, num_colors, n_rows, n_cols).combine()
 
 
 def sigma_from_colored_dense(point_set: ColoredPointSet) -> np.ndarray:

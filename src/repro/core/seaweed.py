@@ -1,11 +1,11 @@
 """Sequential (sub)unit-Monge multiplication in Tiskin's seaweed framework.
 
 The entry point is :func:`multiply`, which accepts arbitrary sub-permutation
-matrices.  Two engines implement the full-permutation product, selected
-through a :class:`~repro.core.plan.MultiplyPlan`:
+matrices.  Two engines implement the full-permutation product; the split
+shape changes wall-clock only, so each call site uses one fixed shape:
 
-* **iterative** (default, :func:`multiply_permutations_iterative`): an
-  allocation-lean bottom-up scheduler.  The instance is split top-down into
+* **iterative** (:func:`multiply_permutations_iterative`, behind
+  :func:`multiply`): an allocation-lean bottom-up scheduler.  The instance is split top-down into
   an explicit H-ary block tree (the maps ``M_A``/``M_B`` of the paper's
   Section 3.1); each leaf size is solved by one batched dense product
   (:func:`~repro.core.dense.multiply_dense_batch`) over all leaves of that
@@ -51,7 +51,6 @@ import numpy as np
 from .combine import combine_colored
 from .dense import multiply_dense, multiply_dense_batch
 from .permutation import EMPTY, Permutation, SubPermutation
-from .plan import MultiplyPlan, resolve_plan
 from ..obs.metrics import get_registry
 
 # Engine metrics, recorded once per multiply (never per merge) so the
@@ -88,9 +87,15 @@ __all__ = [
     "ScratchArena",
 ]
 
-#: Below this size the dense oracle is at least as fast as the recursion
-#: (historical reference-engine default; plans default to a tuned value).
-DEFAULT_BASE_SIZE = 64
+#: Leaf size of the iterative engine: instances of at most this size go to
+#: the batched dense oracle.  A sweep of ``subsegment_matrix`` at n = 1024 read
+#: 95.2 / 67.3 / 63.5 / 51.6 / 52.2 / 60.9 ms for leaf sizes 8 / 16 / 24 / 32 /
+#: 48 / 64.
+ITERATIVE_BASE_SIZE = 32
+
+#: Leaf size of the reference engine (its historical default; the oracle is
+#: timed only as the speedup denominator of ``repro perf``).
+REFERENCE_BASE_SIZE = 64
 
 
 @dataclass
@@ -197,16 +202,13 @@ def multiply_permutations_reference(
     pb: Permutation,
     *,
     fanin: int = 2,
-    base_size: int = DEFAULT_BASE_SIZE,
-    dense_table_limit: Optional[int] = None,
+    base_size: int = REFERENCE_BASE_SIZE,
 ) -> Permutation:
     """``P_A ⊡ P_B`` by the paper's recursive divide-and-conquer (§3.1).
 
     Retained as the reference oracle for the iterative engine: same split,
     same dense leaf oracle, but the H-ary merge runs through the generic
     colored combine engine and the levels unwind by Python recursion.
-    ``dense_table_limit`` tunes the combine engine's dense-table budget
-    (``None`` keeps the module default).
     """
     if fanin < 2:
         raise ValueError("fanin must be at least 2")
@@ -221,17 +223,11 @@ def multiply_permutations_reference(
     num_blocks = min(fanin, n)
     split = split_into_blocks(pa, pb, num_blocks)
     block_results = [
-        multiply_permutations_reference(
-            a_blk, b_blk, fanin=fanin, base_size=base_size,
-            dense_table_limit=dense_table_limit,
-        )
+        multiply_permutations_reference(a_blk, b_blk, fanin=fanin, base_size=base_size)
         for a_blk, b_blk in zip(split.a_blocks, split.b_blocks)
     ]
     rows, cols, colors = expand_block_results(block_results, split)
-    merged = combine_colored(
-        rows, cols, colors, num_blocks, n, n, dense_table_limit=dense_table_limit
-    )
-    return merged.as_permutation()
+    return combine_colored(rows, cols, colors, num_blocks, n, n).as_permutation()
 
 
 # --------------------------------------------------------------------------
@@ -431,27 +427,30 @@ def _merge_node_products(
 def multiply_permutations_iterative(
     pa: Permutation,
     pb: Permutation,
-    plan: Optional[MultiplyPlan] = None,
     *,
+    fanin: int = 2,
+    base_size: int = ITERATIVE_BASE_SIZE,
     arena: Optional[ScratchArena] = None,
 ) -> Permutation:
     """``P_A ⊡ P_B`` by the allocation-lean bottom-up scheduler.
 
-    Phase 1 materialises the H-ary split tree top-down (an explicit worklist,
-    no Python recursion) and solves its leaves with one batched dense product
-    per leaf size; phase 2 walks the internal nodes in reverse creation
-    order — children always precede parents — folding each node's children
-    with pairwise staircase merges (a balanced fold: associativity of ``⊡``
-    makes the bracketing free).
+    Phase 1 materialises the H-ary split tree (fan-in ``fanin``) top-down (an
+    explicit worklist, no Python recursion) and solves its leaves of at most
+    ``base_size`` with one batched dense product per leaf size; phase 2 walks
+    the internal nodes in reverse creation order — children always precede
+    parents — folding each node's children with pairwise staircase merges (a
+    balanced fold: associativity of ``⊡`` makes the bracketing free).  The
+    shape changes wall-clock only: the product is unique.
     """
-    plan = plan if plan is not None else MultiplyPlan()
+    if fanin < 2:
+        raise ValueError(f"fanin must be at least 2, got {fanin}")
     n = pa.size
     if pb.size != n:
         raise ValueError("operands must have the same size")
     if n == 0:
         return Permutation(np.empty(0, dtype=np.int64), validate=False)
-    fanin = int(plan.fanin)
-    leaf_cap = max(int(plan.base_size), fanin)
+    fanin = int(fanin)
+    leaf_cap = max(int(base_size), fanin)
     arena = arena if arena is not None else ScratchArena()
     arena_grows0, arena_reuses0 = arena.grows, arena.reuses
     merge_count = 0
@@ -534,40 +533,9 @@ def multiply_permutations_iterative(
     return Permutation(out, validate=False)
 
 
-def multiply_permutations(
-    pa: Permutation,
-    pb: Permutation,
-    *,
-    fanin: Optional[int] = None,
-    base_size: Optional[int] = None,
-    plan: Optional[MultiplyPlan] = None,
-) -> Permutation:
-    """``P_A ⊡ P_B`` for full permutation matrices of equal size.
-
-    Parameters
-    ----------
-    fanin:
-        Number of subproblems ``H`` per level (the paper uses
-        ``H = n^{(1-δ)/10}`` in the MPC setting; sequentially any ``H >= 2``
-        is correct and exposed here for the fan-in ablation).  Overrides the
-        plan's fan-in when given.
-    base_size:
-        Instances of at most this size are handed to the dense oracle
-        (overrides the plan's crossover when given).
-    plan:
-        The full :class:`~repro.core.plan.MultiplyPlan` (engine selection and
-        tuned knobs).  Defaults to the iterative engine's static defaults.
-    """
-    resolved = resolve_plan(plan, fanin=fanin, base_size=base_size)
-    if resolved.engine == "reference":
-        return multiply_permutations_reference(
-            pa,
-            pb,
-            fanin=resolved.fanin,
-            base_size=resolved.base_size,
-            dense_table_limit=resolved.dense_table_limit,
-        )
-    return multiply_permutations_iterative(pa, pb, resolved)
+def multiply_permutations(pa: Permutation, pb: Permutation) -> Permutation:
+    """``P_A ⊡ P_B`` for full permutation matrices of equal size."""
+    return multiply_permutations_iterative(pa, pb)
 
 
 # --------------------------------------------------------------------------
@@ -644,20 +612,11 @@ def strip_padding(product: Permutation, info: PaddingInfo) -> SubPermutation:
     )
 
 
-def multiply(
-    pa: SubPermutation,
-    pb: SubPermutation,
-    *,
-    fanin: Optional[int] = None,
-    base_size: Optional[int] = None,
-    plan: Optional[MultiplyPlan] = None,
-) -> SubPermutation:
+def multiply(pa: SubPermutation, pb: SubPermutation) -> SubPermutation:
     """Implicit (sub)unit-Monge multiplication ``P_A ⊡ P_B`` (Theorems 1.1/1.2).
 
     Accepts arbitrary (possibly rectangular) sub-permutation matrices; full
-    square permutations skip the padding step.  ``plan`` selects the engine
-    and tuned knobs (see :class:`~repro.core.plan.MultiplyPlan`);
-    ``fanin``/``base_size`` override individual plan fields.
+    square permutations skip the padding step.
     """
     if (
         isinstance(pa, SubPermutation)
@@ -666,12 +625,6 @@ def multiply(
         and pa.is_full_permutation()
         and pb.is_full_permutation()
     ):
-        return multiply_permutations(
-            pa.as_permutation(), pb.as_permutation(),
-            fanin=fanin, base_size=base_size, plan=plan,
-        )
+        return multiply_permutations(pa.as_permutation(), pb.as_permutation())
     perm_a, perm_b, info = pad_to_permutations(pa, pb)
-    product = multiply_permutations(
-        perm_a, perm_b, fanin=fanin, base_size=base_size, plan=plan
-    )
-    return strip_padding(product, info)
+    return strip_padding(multiply_permutations(perm_a, perm_b), info)

@@ -37,12 +37,6 @@ Subcommands
 ``validate <path>``
     Check an artifact file against the schema (exit 1 on failure).
 
-The multiply-engine tuning knobs ``--fanin``, ``--base-size`` and ``--plan
-{default,auto}`` are available on ``run`` (for the specs that expose them),
-``serve``, ``stream`` and ``perf``; they change mechanics/wall-clock only —
-every answer and artifact metric other than timing is bit-identical across
-plans.
-
 Every named-workload input is derived from an explicit ``--seed`` (default
 0), so a recorded artifact is bit-for-bit reproducible from the CLI line
 alone.
@@ -60,7 +54,6 @@ Examples
     $ python -m repro stream --ticks 16 --window 4096 --workload random --seed 7
     $ python -m repro stream --session lcs --window 256 --ticks 8
     $ python -m repro perf --quick
-    $ python -m repro perf --json results/perf_core.json --plan auto
     $ python -m repro perf --quick --record-trend
     $ python -m repro report
     $ python -m repro report results/shard_scaling.json --capacity 500
@@ -100,30 +93,6 @@ from .spec import ExperimentSpec, PointResult, all_specs, expand_grid, get_spec
 __all__ = ["main", "build_parser"]
 
 DEFAULT_ARTIFACT_TEMPLATE = "results/{spec}.json"
-
-
-def _add_plan_arguments(parser) -> None:
-    """The shared multiply-engine tuning knobs (mechanics/wall-clock only)."""
-    parser.add_argument(
-        "--fanin",
-        type=int,
-        default=None,
-        metavar="H",
-        help="multiply-engine split fan-in (answers are identical across fan-ins)",
-    )
-    parser.add_argument(
-        "--base-size",
-        type=int,
-        default=None,
-        metavar="B",
-        help="multiply-engine dense-oracle crossover size",
-    )
-    parser.add_argument(
-        "--plan",
-        choices=("default", "auto"),
-        default=None,
-        help="multiply plan: static defaults or per-machine auto-calibration",
-    )
 
 
 def _add_service_arguments(parser) -> None:
@@ -177,16 +146,6 @@ def _add_service_arguments(parser) -> None:
         "service; answers are shard-invariant and /stats gains a per-shard "
         "section)",
     )
-    _add_plan_arguments(parser)
-
-
-def _resolve_cli_plan(args, *, required: bool = False):
-    """The plan implied by the CLI knobs (``None`` when nothing was asked)."""
-    from ..core.plan import resolve_plan
-
-    if not required and args.plan is None and args.fanin is None and args.base_size is None:
-        return None
-    return resolve_plan(args.plan, fanin=args.fanin, base_size=args.base_size)
 
 
 def _build_cli_service(args, defaults: Dict[str, Any]):
@@ -194,10 +153,7 @@ def _build_cli_service(args, defaults: Dict[str, Any]):
 
     Each serving flag left unset falls back to ``defaults`` (a request
     file's ``defaults`` block; empty for ``serve-http``), then to sequential
-    mode, delta 0.5, no backend, ``DEFAULT_CACHE_BYTES`` and no spill.  The
-    router receives the *raw* plan spec (not a resolved plan): each worker
-    resolves it once at its own startup, so ``--plan auto`` calibrates once
-    per worker process, never in the parent and never per request.
+    mode, delta 0.5, no backend, ``DEFAULT_CACHE_BYTES`` and no spill.
     """
     mode = args.mode if args.mode is not None else str(defaults.get("mode", "sequential"))
     delta = args.delta if args.delta is not None else float(defaults.get("delta", 0.5))
@@ -227,9 +183,6 @@ def _build_cli_service(args, defaults: Dict[str, Any]):
             mode=mode,
             delta=delta,
             backend=backend,
-            plan=args.plan,
-            fanin=args.fanin,
-            base_size=args.base_size,
             cache_bytes=cache_bytes,
             spill_dir=spill_dir,
             **extra,
@@ -244,7 +197,6 @@ def _build_cli_service(args, defaults: Dict[str, Any]):
         mode=mode,
         delta=delta,
         backend=backend,
-        plan=_resolve_cli_plan(args),
     )
 
 
@@ -312,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a swept grid parameter (repeatable)",
     )
     run_parser.add_argument("--no-checks", action="store_true", help="skip the cross-point consistency checks")
-    _add_plan_arguments(run_parser)
 
     serve_parser = sub.add_parser(
         "serve",
@@ -459,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the per-tick outcome as a schema-v1 artifact (+ 'streaming' section)",
     )
-    _add_plan_arguments(stream_parser)
 
     perf_parser = sub.add_parser(
         "perf",
@@ -513,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a {commit, timestamp, normalized timings} row to the "
         "perf trend log (default path: results/perf_trend.jsonl)",
     )
-    _add_plan_arguments(perf_parser)
 
     report_parser = sub.add_parser(
         "report",
@@ -581,8 +530,6 @@ def _cmd_list(as_json: bool, out) -> int:
 
 
 def _cmd_run(args, out) -> int:
-    import inspect
-
     spec = get_spec(args.spec)
     overrides = _parse_overrides(args.overrides)
     fixed_overrides: Optional[Dict[str, Any]] = None
@@ -597,26 +544,6 @@ def _cmd_run(args, out) -> int:
             overrides["backend"] = [args.backend]
         else:
             fixed_overrides = {"backend": args.backend}
-    # Multiply-engine knobs route like --backend: grid-swept parameters are
-    # restricted, point-accepted parameters become fixed overrides, anything
-    # else fails loudly (the spec genuinely has no sequential multiply knob).
-    point_params = set(inspect.signature(spec.point).parameters)
-    for key, value in (("fanin", args.fanin), ("base_size", args.base_size), ("plan", args.plan)):
-        if value is None:
-            continue
-        if key in overrides:
-            raise ValueError(
-                f"--{key.replace('_', '-')} conflicts with --set {key}=...; pass only one"
-            )
-        if key in spec.grid:
-            overrides[key] = [value]
-        elif key in point_params:
-            fixed_overrides = dict(fixed_overrides or {})
-            fixed_overrides[key] = value
-        else:
-            raise ValueError(
-                f"experiment {spec.name!r} does not expose the {key!r} tuning knob"
-            )
     result = run_experiment(
         spec,
         quick=args.quick,
@@ -913,14 +840,13 @@ def _slo_eval_artifact(
     }
 
 
-def _stream_artifact(args, session, points, seconds: float, plan=None) -> Dict[str, Any]:
+def _stream_artifact(args, session, points, seconds: float) -> Dict[str, Any]:
     """The streaming outcome as a schema-v1 document (+ ``streaming`` section).
 
     Per-tick rows become grid points of an ad-hoc ``stream`` spec; the
-    session configuration — including the fully resolved multiply plan, so
-    recorded timings are attributable to the mechanics actually used — and
-    the aggregator's cost counters (multiplies performed, blocks rebuilt,
-    node-store bytes) ride along in the additive ``streaming`` field.
+    session configuration and the aggregator's cost counters (multiplies
+    performed, blocks rebuilt, node-store bytes) ride along in the additive
+    ``streaming`` field.
     """
     spec = ExperimentSpec(
         name="stream",
@@ -944,7 +870,6 @@ def _stream_artifact(args, session, points, seconds: float, plan=None) -> Dict[s
             "seed": int(args.seed),
             "strict": not args.non_strict,
             "backend": args.backend or "serial",
-            "plan": plan.describe() if plan is not None else "default",
         },
         quick=False,
         workers=1,
@@ -964,7 +889,6 @@ def _cmd_stream(args, out) -> int:
     if args.window < 1 or args.ticks < 0 or args.slide < 1:
         raise ValueError("stream needs --window >= 1, --ticks >= 0 and --slide >= 1")
     total = args.window + args.ticks * args.slide
-    plan = _resolve_cli_plan(args)
     if args.session == "lis":
         stream = make_sequence(args.workload, total, seed=args.seed).astype(float)
         session = StreamingLIS(
@@ -972,7 +896,6 @@ def _cmd_stream(args, out) -> int:
             strict=not args.non_strict,
             leaf_size=args.leaf_size,
             backend=args.backend,
-            plan=plan,
         )
         warm = stream[: args.window]
         describe = f"{args.workload}(n={total}, seed={args.seed})"
@@ -983,7 +906,6 @@ def _cmd_stream(args, out) -> int:
             window=args.window,
             leaf_size=args.leaf_size,
             backend=args.backend,
-            plan=plan,
         )
         warm = stream[: args.window]
         describe = f"{args.string_workload}(n={total}, seed={args.seed})"
@@ -1055,7 +977,7 @@ def _cmd_stream(args, out) -> int:
         file=out,
     )
     if args.artifact is not None:
-        document = _stream_artifact(args, session, points, seconds, plan=plan)
+        document = _stream_artifact(args, session, points, seconds)
         write_document(document, args.artifact)
         print(f"wrote artifact: {args.artifact}", file=out)
     return 0
@@ -1071,12 +993,7 @@ def _cmd_perf(args, out) -> int:
         run_perf,
     )
 
-    plan = _resolve_cli_plan(args, required=True)
-    document = run_perf(
-        quick=args.quick,
-        plan=plan,
-        repeats=max(1, int(args.repeats)),
-    )
+    document = run_perf(quick=args.quick, repeats=max(1, int(args.repeats)))
     rows = [
         [
             point["params"]["case"],

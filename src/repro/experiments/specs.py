@@ -20,7 +20,6 @@ import numpy as np
 from ..analysis.serialize import stats_summary, weighted_checksum
 from ..baselines import chs23_lis_length, chs23_multiply, kt10_lis_length
 from ..core import multiply_permutations, random_permutation
-from ..core.plan import MultiplyPlan, resolve_plan
 from ..core.permutation import Permutation
 from ..core.seaweed import expand_block_results, split_into_blocks
 from ..lcs import count_matches, lcs_cluster_for, lcs_length_dp, mpc_lcs_length
@@ -53,19 +52,6 @@ __all__ = ["sequential_case_callable"]
 def _permutation_pair(n: int, seed: int):
     rng = np.random.default_rng(seed)
     return random_permutation(n, rng), random_permutation(n, rng)
-
-
-def _point_plan(plan=None, fanin=None, base_size=None):
-    """Resolve the optional per-point multiply-engine knobs.
-
-    Returns ``None`` when no knob was set (callers then keep their historical
-    defaults), so recorded artifacts only change when a knob is actually
-    used.  Knobs are mechanics-only: every metric other than wall-clock is
-    bit-identical across plans.
-    """
-    if plan is None and fanin is None and base_size is None:
-        return None
-    return resolve_plan(plan, fanin=fanin, base_size=base_size)
 
 
 def _workload_permutation_pair(workload: str, n: int, seed: int):
@@ -362,19 +348,16 @@ register_spec(
 SEQUENTIAL_TASKS = ("multiply", "seaweed_lis", "patience", "semilocal_matrix")
 
 
-def sequential_case_callable(
-    task: str, n: int, plan: Optional[MultiplyPlan] = None
-) -> Callable[[], Any]:
+def sequential_case_callable(task: str, n: int) -> Callable[[], Any]:
     """The timed kernel of one sequential case (shared with pytest-benchmark).
 
     Each task keeps the seed convention of the original benchmark harness
     (multiply: 2024, sequences: seed=n, semilocal: seed=7) so timings stay
     comparable across PRs; there is deliberately no global seed knob.
-    ``plan`` tunes the multiply engine where the task bottoms out in it.
     """
     if task == "multiply":
         pa, pb = _permutation_pair(n, 2024)
-        return lambda: multiply_permutations(pa, pb, plan=plan)
+        return lambda: multiply_permutations(pa, pb)
     if task == "seaweed_lis":
         seq = make_sequence("random", n, seed=n)
         return lambda: lis_length_seaweed(seq)
@@ -383,17 +366,11 @@ def sequential_case_callable(
         return lambda: lis_length(seq)
     if task == "semilocal_matrix":
         seq = make_sequence("random", n, seed=7)
-        return lambda: value_interval_matrix(seq, plan=plan)
+        return lambda: value_interval_matrix(seq)
     raise KeyError(f"unknown sequential task {task!r}")
 
 
-def _sequential_point(
-    case: Any,
-    backend: str = "serial",
-    fanin: Optional[int] = None,
-    base_size: Optional[int] = None,
-    plan: Optional[str] = None,
-) -> Dict[str, Any]:
+def _sequential_point(case: Any, backend: str = "serial") -> Dict[str, Any]:
     # `backend` is accepted for CLI uniformity (`--backend` works on every
     # spec) but unused: the sequential substrate has no cluster to schedule.
     if not isinstance(case, dict) or not {"task", "n"} <= set(case):
@@ -402,15 +379,11 @@ def _sequential_point(
             f"{{'task': 'multiply', 'n': 2048}}; got {case!r} "
             "(this grid cannot be overridden with the CLI --set flag)"
         )
-    return run_sequential_point(
-        case["task"], case["n"], plan=_point_plan(plan, fanin, base_size)
-    )
+    return run_sequential_point(case["task"], case["n"])
 
 
-def run_sequential_point(
-    task: str, n: int, plan: Optional[MultiplyPlan] = None
-) -> Dict[str, Any]:
-    kernel = sequential_case_callable(task, n, plan=plan)
+def run_sequential_point(task: str, n: int) -> Dict[str, Any]:
+    kernel = sequential_case_callable(task, n)
     started = time.perf_counter()
     result = kernel()
     seconds = time.perf_counter() - started
@@ -588,18 +561,13 @@ register_spec(
 def run_fanin_point(
     fanin: int, workload: str = "random", n: int = 8192, delta: float = 0.5,
     seed: int = 2024, backend: str = "serial",
-    base_size: Optional[int] = None, plan: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """One fan-in measurement.  ``fanin`` sweeps the MPC combine's H; the
-    optional ``base_size``/``plan`` knobs tune the *sequential* multiply
-    engine used for the local phases and the cross-check (mechanics only)."""
-    multiply_plan = _point_plan(plan, None, base_size)
+    """One fan-in measurement: ``fanin`` sweeps the MPC combine's H."""
     pa, pb = _workload_permutation_pair(workload, n, seed)
     cluster = MPCCluster(n, delta=delta, backend=backend)
-    config = MongeMPCConfig(fanin=fanin, tree_arity=fanin, multiply_plan=multiply_plan)
-    assert mpc_multiply(cluster, pa, pb, config) == multiply_permutations(
-        pa, pb, plan=multiply_plan
-    ), f"wrong product at fan-in {fanin} ({workload})"
+    config = MongeMPCConfig(fanin=fanin, tree_arity=fanin)
+    product = mpc_multiply(cluster, pa, pb, config)
+    assert product == multiply_permutations(pa, pb), f"wrong product at fan-in {fanin} ({workload})"
     return {
         "rounds": cluster.stats.num_rounds,
         "peak_machine_load": cluster.stats.peak_machine_load,
@@ -817,9 +785,6 @@ def run_service_throughput_point(
     delta: float = 0.5,
     naive_sample: int = 1,
     mode: str = "mpc",
-    fanin: Optional[int] = None,
-    base_size: Optional[int] = None,
-    plan: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One serving measurement: cold build, warm cached batch, naive rebuild.
 
@@ -827,15 +792,11 @@ def run_service_throughput_point(
     (fingerprint lookup + one vectorised dominance-count pass).  The naive
     baseline rebuilds the index from scratch for each of ``naive_sample``
     sampled queries — the pre-subsystem one-shot usage pattern — and its
-    per-query cost is what ``speedup`` divides by.  The multiply-engine
-    knobs (``fanin``/``base_size``/``plan``) tune sequential index builds.
+    per-query cost is what ``speedup`` divides by.
     """
-    multiply_plan = _point_plan(plan, fanin, base_size)
     i_arr, j_arr = _service_query_windows(n, batch, seed)
     target = TargetSpec(kind="sequence", workload=workload, n=n, seed=seed)
-    service = QueryService(
-        cache=IndexCache(), mode=mode, delta=delta, backend=backend, plan=multiply_plan
-    )
+    service = QueryService(cache=IndexCache(), mode=mode, delta=delta, backend=backend)
     requests = [
         QueryRequest(op="substring_query", target=target, request_id="batch", i=i_arr, j=j_arr)
     ]
@@ -850,9 +811,7 @@ def run_service_throughput_point(
     naive_sample = max(1, int(naive_sample))
     naive_started = time.perf_counter()
     for q in range(naive_sample):
-        rebuilt = build_lis_index(
-            sequence, mode=mode, delta=delta, backend=backend, plan=multiply_plan
-        )
+        rebuilt = build_lis_index(sequence, mode=mode, delta=delta, backend=backend)
         value = int(rebuilt.query_substrings(i_arr[q % batch], j_arr[q % batch])[0])
         assert value == int(answers[q % batch]), "naive rebuild disagrees with cached index"
     naive_per_query = (time.perf_counter() - naive_started) / naive_sample
@@ -952,9 +911,6 @@ def run_streaming_throughput_point(
     probes: int = 4,
     strict: bool = True,
     rebuild_sample: int = 2,
-    fanin: Optional[int] = None,
-    base_size: Optional[int] = None,
-    plan: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One streaming measurement: warm build, sliding ticks, rebuild baseline.
 
@@ -963,15 +919,10 @@ def run_streaming_throughput_point(
     against the DP oracle on the spot.  ``rebuild_per_tick_seconds`` times
     the cheapest possible per-tick alternative — a from-scratch sequential
     ``value_interval_matrix`` of the current window — and the sampled rebuild
-    is also compared bit-for-bit against the aggregator's root product.  The
-    multiply-engine knobs tune both the aggregator merges and the rebuild
-    baseline (answers stay bit-identical across plans).
+    is also compared bit-for-bit against the aggregator's root product.
     """
-    multiply_plan = _point_plan(plan, fanin, base_size)
     stream = make_sequence(workload, n + ticks * slide, seed=seed).astype(np.float64)
-    session = StreamingLIS(
-        window=n, strict=strict, leaf_size=leaf_size, backend=backend, plan=multiply_plan
-    )
+    session = StreamingLIS(window=n, strict=strict, leaf_size=leaf_size, backend=backend)
     warm_started = time.perf_counter()
     session.append(stream[:n])
     session.lis_length()
@@ -999,9 +950,7 @@ def run_streaming_throughput_point(
     rebuilt = None
     for _ in range(max(1, int(rebuild_sample))):
         started = time.perf_counter()
-        rebuilt = value_interval_matrix(
-            session.window_values(), strict=strict, plan=multiply_plan
-        )
+        rebuilt = value_interval_matrix(session.window_values(), strict=strict)
         rebuild_seconds.append(time.perf_counter() - started)
     assert session.to_semilocal().matrix == rebuilt.matrix, (
         "aggregator root product diverges from the from-scratch seaweed rebuild"
@@ -1430,9 +1379,6 @@ def run_shard_scaling_point(
     windows: int = 8,
     rounds: int = 10,
     cache_bytes: int = 64 << 20,
-    plan=None,
-    fanin: Optional[int] = None,
-    base_size: Optional[int] = None,
 ) -> Dict[str, Any]:
     """One shard-count measurement of the sharded serving tier.
 
@@ -1456,13 +1402,7 @@ def run_shard_scaling_point(
     expected_values = [np.asarray(outcome.result, dtype=np.int64) for outcome in expected]
     answers_checksum = weighted_checksum(_outcome_values(expected))
 
-    router = ShardRouter(
-        shards,
-        cache_bytes=cache_bytes,
-        plan=_point_plan(plan, fanin, base_size),
-        fanin=None,
-        base_size=None,
-    )
+    router = ShardRouter(shards, cache_bytes=cache_bytes)
     try:
         prefetch_specs = sorted(
             {

@@ -9,6 +9,7 @@ and as the intermediate baseline in the round-complexity benchmarks.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from ..core.permutation import Permutation
@@ -20,15 +21,7 @@ __all__ = ["mpc_multiply_warmup", "warmup_config"]
 
 def warmup_config(base: Optional[MongeMPCConfig] = None) -> MongeMPCConfig:
     """A configuration with fan-in 2 (everything else as in the main algorithm)."""
-    base = base or MongeMPCConfig()
-    return MongeMPCConfig(
-        fanin=2,
-        tree_arity=base.tree_arity,
-        grid_size=base.grid_size,
-        local_threshold=base.local_threshold,
-        sequential_base_size=base.sequential_base_size,
-        backend=base.backend,
-    )
+    return dataclasses.replace(base or MongeMPCConfig(), fanin=2)
 
 
 def mpc_multiply_warmup(

@@ -187,11 +187,9 @@ def _render_perf_core(doc: Dict[str, Any]) -> str:
     perf = doc.get("perf", {})
     lines = []
     if perf:
-        plan = perf.get("plan", {})
         lines.append(
             f"headline: n={perf.get('headline_n')} multiply speedup vs reference = "
-            f"{_cell(float(perf.get('multiply_speedup_vs_reference', 0)))}x  "
-            f"(plan: {', '.join(f'{k}={v}' for k, v in sorted(plan.items()))})"
+            f"{_cell(float(perf.get('multiply_speedup_vs_reference', 0)))}x"
         )
     points = doc.get("points", [])
     norms = [float(p["metrics"].get("normalized", 0)) for p in points]

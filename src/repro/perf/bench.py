@@ -24,7 +24,7 @@ cancels machine speed to first order.
 
 The run lands in the standard schema-v1 experiment artifact (an ad-hoc
 ``perf_core`` spec) with an additive ``perf`` section carrying the
-calibration, the plan and the headline iterative-vs-reference speedup.
+calibration and the headline iterative-vs-reference speedup.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..core.permutation import random_permutation
-from ..core.plan import MultiplyPlan
-from ..core.seaweed import (
-    multiply_permutations,
-    multiply_permutations_iterative,
-    multiply_permutations_reference,
-)
+from ..core.seaweed import multiply_permutations_iterative, multiply_permutations_reference
 from ..experiments.runner import ExperimentResult
 from ..experiments.spec import ExperimentSpec, PointResult
 from ..experiments.artifacts import result_to_artifact
@@ -75,8 +70,8 @@ class PerfCase:
     #: Included in ``--quick`` runs (the full grid is a superset, so a full
     #: baseline can gate quick CI runs).
     quick: bool
-    #: ``make(plan) -> kernel``; the zero-argument kernel is what is timed.
-    make: Callable[[MultiplyPlan], Callable[[], Any]] = field(compare=False)
+    #: ``make() -> kernel``; the zero-argument kernel is what is timed.
+    make: Callable[[], Callable[[], Any]] = field(compare=False)
     #: Operations per kernel call; recorded seconds are divided by this
     #: (e.g. the streaming case runs ``ticks`` slides per call and reports
     #: the amortised per-tick cost).
@@ -94,13 +89,12 @@ def _permutation_pair(n: int):
     return random_permutation(n, rng), random_permutation(n, rng)
 
 
-def _make_multiply(n: int, fanin: int) -> Callable[[MultiplyPlan], Callable[[], Any]]:
-    def factory(plan: MultiplyPlan) -> Callable[[], Any]:
+def _make_multiply(n: int, fanin: int) -> Callable[[], Callable[[], Any]]:
+    def factory() -> Callable[[], Any]:
         pa, pb = _permutation_pair(n)
-        tuned = plan.with_overrides(fanin=fanin)
 
         def kernel():
-            result = multiply_permutations_iterative(pa, pb, tuned)
+            result = multiply_permutations_iterative(pa, pb, fanin=fanin)
             assert result.size == n
             return result
 
@@ -109,10 +103,10 @@ def _make_multiply(n: int, fanin: int) -> Callable[[MultiplyPlan], Callable[[], 
     return factory
 
 
-def _make_reference(n: int) -> Callable[[MultiplyPlan], Callable[[], Any]]:
-    def factory(plan: MultiplyPlan) -> Callable[[], Any]:
+def _make_reference(n: int) -> Callable[[], Callable[[], Any]]:
+    def factory() -> Callable[[], Any]:
         pa, pb = _permutation_pair(n)
-        expected = multiply_permutations_iterative(pa, pb, plan)
+        expected = multiply_permutations_iterative(pa, pb)
 
         def kernel():
             result = multiply_permutations_reference(pa, pb)
@@ -126,26 +120,26 @@ def _make_reference(n: int) -> Callable[[MultiplyPlan], Callable[[], Any]]:
     return factory
 
 
-def _make_semilocal(n: int) -> Callable[[MultiplyPlan], Callable[[], Any]]:
-    def factory(plan: MultiplyPlan) -> Callable[[], Any]:
+def _make_semilocal(n: int) -> Callable[[], Callable[[], Any]]:
+    def factory() -> Callable[[], Any]:
         sequence = make_sequence("random", n, seed=_SEED)
 
         def kernel():
-            return value_interval_matrix(sequence, plan=plan)
+            return value_interval_matrix(sequence)
 
         return kernel
 
     return factory
 
 
-def _make_streaming(n: int, ticks: int, slide: int) -> Callable[[MultiplyPlan], Callable[[], Any]]:
-    def factory(plan: MultiplyPlan) -> Callable[[], Any]:
+def _make_streaming(n: int, ticks: int, slide: int) -> Callable[[], Callable[[], Any]]:
+    def factory() -> Callable[[], Any]:
         stream = make_sequence("random", n + ticks * slide, seed=_SEED).astype(np.float64)
         # Warm build outside the timed region: the case measures the
         # amortised incremental slide, not the one-off O(n log n) build the
         # streaming subsystem exists to avoid.  One kernel call = `ticks`
         # slides (wrapping through the stream, like the spec timer does).
-        session = StreamingLIS(window=n, plan=plan)
+        session = StreamingLIS(window=n)
         session.push(stream[:n])
         session.lis_length()
         state = {"offset": n}
@@ -163,8 +157,8 @@ def _make_streaming(n: int, ticks: int, slide: int) -> Callable[[MultiplyPlan], 
     return factory
 
 
-def _make_service(n: int, batch: int) -> Callable[[MultiplyPlan], Callable[[], Any]]:
-    def factory(plan: MultiplyPlan) -> Callable[[], Any]:
+def _make_service(n: int, batch: int) -> Callable[[], Callable[[], Any]]:
+    def factory() -> Callable[[], Any]:
         rng = np.random.default_rng(_SEED)
         i = rng.integers(0, max(1, n - 1), size=batch)
         j = np.minimum(i + rng.integers(1, max(2, n // 4), size=batch), n)
@@ -172,7 +166,7 @@ def _make_service(n: int, batch: int) -> Callable[[MultiplyPlan], Callable[[], A
         requests = [
             QueryRequest(op="substring_query", target=target, request_id="perf", i=i, j=j)
         ]
-        service = QueryService(cache=IndexCache(), mode="sequential", plan=plan)
+        service = QueryService(cache=IndexCache(), mode="sequential")
         service.submit(requests)  # cold build outside the timed region
 
         def kernel():
@@ -281,17 +275,15 @@ def _time_kernel(kernel: Callable[[], Any], repeats: int) -> float:
 def run_perf(
     *,
     quick: bool = False,
-    plan: Optional[MultiplyPlan] = None,
     repeats: int = 2,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
     """Run the case grid and return the schema-v1 artifact document.
 
-    The additive ``perf`` section records the calibration, the plan and the
-    headline iterative-vs-reference multiply speedup (both engines timed in
-    the same process on the same operands).
+    The additive ``perf`` section records the calibration and the headline
+    iterative-vs-reference multiply speedup (both engines timed in the same
+    process on the same operands).
     """
-    plan = plan if plan is not None else MultiplyPlan()
     calibration = calibrate_cpu()
     selected = [case for case in perf_cases() if (case.quick or not quick)]
 
@@ -301,7 +293,7 @@ def run_perf(
     for case in selected:
         if progress is not None:
             progress(f"perf: {case.name}")
-        kernel = case.make(plan)
+        kernel = case.make()
         seconds = _time_kernel(kernel, repeats) / max(1, int(case.ops))
         by_name[case.name] = seconds
         points.append(
@@ -335,7 +327,7 @@ def run_perf(
         spec=spec,
         points=points,
         grid={},
-        fixed={"quick": bool(quick), "repeats": int(repeats), "plan": plan.describe()},
+        fixed={"quick": bool(quick), "repeats": int(repeats)},
         quick=bool(quick),
         workers=1,
         wall_clock_seconds=wall_seconds,
@@ -343,7 +335,6 @@ def run_perf(
     document = result_to_artifact(result)
     document["perf"] = {
         "calibration_seconds": float(calibration),
-        "plan": plan.describe(),
         "headline_n": int(headline_n),
         "multiply_speedup_vs_reference": (
             float(speedup) if speedup is not None else None

@@ -92,7 +92,7 @@ __all__ = [
 
 BATCH_SCHEMA_ID = "repro.server.batch"
 STATS_SCHEMA_ID = "repro.server.stats"
-STATS_SCHEMA_VERSION = 4
+STATS_SCHEMA_VERSION = 5
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Period of the background task that appends a row to the SLO history
@@ -943,6 +943,8 @@ class ServerCore:
             raise _HttpError(400, f"{what} must be an array of numbers: {exc}") from None
         if symbols.size == 0:
             raise _HttpError(400, f"{what} must be non-empty")
+        if np.isnan(symbols).any():
+            raise _HttpError(400, f"{what} must not contain NaN")
         return symbols
 
     @staticmethod

@@ -38,7 +38,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.permutation import SubPermutation
-from ..core.plan import MultiplyPlan
 from ..lcs.hunt_szymanski import match_pairs
 from ..lcs.semilocal import SemiLocalLCS
 from ..lis.mpc_lis import mpc_lis_matrix
@@ -233,14 +232,11 @@ def _provenance(
     backend: Optional[str],
     cluster: Optional[MPCCluster],
     seconds: float,
-    plan: Optional[MultiplyPlan] = None,
 ) -> Dict[str, Any]:
     doc: Dict[str, Any] = {
         "mode": mode,
         "build_seconds": float(seconds),
     }
-    if plan is not None:
-        doc["plan"] = plan.describe()
     if cluster is not None:
         doc.update(
             {
@@ -262,16 +258,15 @@ def build_lis_index(
     mode: str = "sequential",
     delta: float = 0.5,
     backend: Optional[str] = None,
-    plan: Optional[MultiplyPlan] = None,
 ) -> SemiLocalIndex:
     """Build a semi-local LIS index (sequentially or on the MPC simulator).
 
     ``mode='mpc'`` runs the O(log n)-round pipeline of Theorem 1.3 /
     Corollary 1.3.2 on an :class:`MPCCluster` with the selected execution
-    backend; ``mode='sequential'`` runs the in-process seaweed engine, tuned
-    by ``plan`` when one is given.  Both produce bit-identical matrices — the
-    fingerprint therefore covers only the input and query semantics, while
-    the build path (including the plan) is recorded in ``provenance``.
+    backend; ``mode='sequential'`` runs the in-process seaweed engine.  Both
+    produce bit-identical matrices — the fingerprint therefore covers only
+    the input and query semantics, while the build path is recorded in
+    ``provenance``.
     """
     if kind not in ("lis:position", "lis:value"):
         raise ValueError(f"LIS index kind must be 'lis:position' or 'lis:value', got {kind!r}")
@@ -285,7 +280,7 @@ def build_lis_index(
         semilocal = mpc_lis_matrix(cluster, sequence, strict=strict, kind=matrix_kind).semilocal
     elif mode == "sequential":
         build = subsegment_matrix if matrix_kind == "position" else value_interval_matrix
-        semilocal = build(sequence, strict=strict, plan=plan)
+        semilocal = build(sequence, strict=strict)
     else:
         raise ValueError(f"build mode must be 'sequential' or 'mpc', got {mode!r}")
     seconds = time.perf_counter() - started
@@ -294,7 +289,7 @@ def build_lis_index(
         kind=kind,
         semilocal=semilocal,
         length=len(sequence),
-        provenance=_provenance(mode, delta, backend, cluster, seconds, plan),
+        provenance=_provenance(mode, delta, backend, cluster, seconds),
     )
 
 
@@ -305,7 +300,6 @@ def build_lcs_index(
     mode: str = "sequential",
     delta: float = 0.5,
     backend: Optional[str] = None,
-    plan: Optional[MultiplyPlan] = None,
 ) -> SemiLocalIndex:
     """Build the semi-local LCS index of ``S`` vs all subsegments of ``T``.
 
@@ -325,7 +319,7 @@ def build_lcs_index(
         cluster = lcs_cluster_for(len(s), len(t), len(matches), delta=delta, backend=backend)
         semilocal = mpc_lis_matrix(cluster, matches, strict=True, kind="value").semilocal
     elif mode == "sequential":
-        semilocal = value_interval_matrix(matches, strict=True, plan=plan)
+        semilocal = value_interval_matrix(matches, strict=True)
     else:
         raise ValueError(f"build mode must be 'sequential' or 'mpc', got {mode!r}")
     seconds = time.perf_counter() - started
@@ -335,5 +329,5 @@ def build_lcs_index(
         semilocal=semilocal,
         length=len(t),
         match_positions=np.sort(matches),
-        provenance=_provenance(mode, delta, backend, cluster, seconds, plan),
+        provenance=_provenance(mode, delta, backend, cluster, seconds),
     )

@@ -169,6 +169,10 @@ def _as_tuple(values, what: str) -> tuple:
         raise ServiceRequestError(f"{what} must be an array of numbers") from None
     if arr.ndim != 1 or arr.size == 0 or not np.issubdtype(arr.dtype, np.number):
         raise ServiceRequestError(f"{what} must be a non-empty 1-D array of numbers")
+    if np.isnan(arr).any():
+        # JSON parsers accept NaN, but it has no order: the rank transform
+        # sorts it last while the DP oracle compares it false both ways.
+        raise ServiceRequestError(f"{what} must not contain NaN")
     return tuple(arr.tolist())
 
 

@@ -34,15 +34,15 @@ appends; every backend produces bit-identical products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.permutation import SubPermutation
-from ..core.plan import MultiplyPlan
 from ..core.seaweed import multiply
 from ..lis.semilocal import (
     DENSE_BLOCK_SIZE,
+    MultiplyFn,
     SemiLocalLIS,
     _build_recursive,
     embed_into_universe,
@@ -62,8 +62,6 @@ __all__ = [
     "cover_scores",
     "multi_cover_scores",
 ]
-
-MultiplyFn = Callable[[SubPermutation, SubPermutation], SubPermutation]
 
 #: Sentinel for "no chain reaches this corner" in the seam sweep.  Large
 #: enough that adding window-sized scores can never wrap back above zero.
@@ -275,8 +273,8 @@ def cover_scores(parts: Sequence[BlockProduct], x: int, y: np.ndarray) -> np.nda
     return D[0, y]
 
 
-def _leaf_build_task(item: Tuple[np.ndarray, np.ndarray, MultiplyFn], _index: int):
-    """Backend-mapped leaf build: ``(values, ties, multiply_fn) -> (product, multiplies)``.
+def _leaf_build_task(item: Tuple[np.ndarray, np.ndarray], _index: int):
+    """Backend-mapped leaf build: ``(values, ties) -> (product, multiplies)``.
 
     Pure with respect to shared state — each task counts its own multiplies
     locally and the driver merges the deltas after the map, so the thread
@@ -284,12 +282,12 @@ def _leaf_build_task(item: Tuple[np.ndarray, np.ndarray, MultiplyFn], _index: in
     tuple shape also lets the engine's item-weight heuristic see the real
     element count when deciding whether threading pays.
     """
-    values, ties, multiply_fn = item
+    values, ties = item
     performed = [0]
 
     def counting_multiply(left: SubPermutation, right: SubPermutation) -> SubPermutation:
         performed[0] += 1
-        return multiply_fn(left, right)
+        return multiply(left, right)
 
     return build_block_product(values, ties, counting_multiply), performed[0]
 
@@ -415,13 +413,6 @@ class SeaweedAggregator:
         Elements per leaf block.  The default stays below the dense
         construction threshold, so per-tick leaf rebuilds are one vectorised
         dense pass.
-    multiply_fn:
-        The (sub)unit-Monge multiplication used for node merges (defaults to
-        the sequential :func:`repro.core.seaweed.multiply`).
-    plan:
-        A :class:`~repro.core.plan.MultiplyPlan` tuning the default multiply
-        (ignored when an explicit ``multiply_fn`` is given).  Mechanics only:
-        every plan yields bit-identical products.
     backend:
         PR-2 execution backend (name or instance) used to fan out multi-leaf
         block builds; answers are bit-identical across backends.
@@ -432,20 +423,12 @@ class SeaweedAggregator:
         *,
         strict: bool = True,
         leaf_size: int = DEFAULT_LEAF_SIZE,
-        multiply_fn: Optional[MultiplyFn] = None,
-        plan: Optional[MultiplyPlan] = None,
         backend: Union[None, str, ExecutionBackend] = None,
     ) -> None:
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be positive, got {leaf_size}")
         self.strict = bool(strict)
         self.leaf_size = int(leaf_size)
-        if multiply_fn is not None:
-            self._multiply_fn: MultiplyFn = multiply_fn
-        elif plan is not None:
-            self._multiply_fn = plan.multiply_fn()
-        else:
-            self._multiply_fn = multiply
         self.backend: ExecutionBackend = resolve_backend(backend)
         self.store = NodeStore()
         self.stats = AggregatorStats()
@@ -488,7 +471,7 @@ class SeaweedAggregator:
 
     def _counted_multiply(self, left: SubPermutation, right: SubPermutation) -> SubPermutation:
         self.stats.multiplies += 1
-        return self._multiply_fn(left, right)
+        return multiply(left, right)
 
     def _build_leaf_product(self, leaf: _Leaf) -> BlockProduct:
         self.stats.blocks_built += 1
@@ -529,10 +512,7 @@ class SeaweedAggregator:
         # on the driver, so concurrent leaf builds cannot lose increments.
         outcomes = self.backend.map_local(
             _leaf_build_task,
-            [
-                (leaf.live_values(), self._tie_keys(leaf.live_arrivals()), self._multiply_fn)
-                for leaf in touched
-            ],
+            [(leaf.live_values(), self._tie_keys(leaf.live_arrivals())) for leaf in touched],
         )
         for leaf, (product, multiplies) in zip(touched, outcomes):
             self.stats.blocks_built += 1

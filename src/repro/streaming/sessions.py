@@ -29,10 +29,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.plan import MultiplyPlan
 from ..lis.semilocal import SemiLocalLIS
 from ..mpc.engine import ExecutionBackend
-from .aggregator import DEFAULT_LEAF_SIZE, MultiplyFn, SeaweedAggregator
+from .aggregator import DEFAULT_LEAF_SIZE, SeaweedAggregator
 
 __all__ = ["StreamingLIS", "StreamingLCS"]
 
@@ -47,7 +46,7 @@ class StreamingLIS:
         window unbounded; ``append``/``evict`` always remain available).
     strict:
         Strictly increasing (default) vs non-decreasing subsequences.
-    leaf_size, backend, multiply_fn, plan:
+    leaf_size, backend:
         Forwarded to the underlying :class:`SeaweedAggregator`.
     """
 
@@ -58,16 +57,11 @@ class StreamingLIS:
         strict: bool = True,
         leaf_size: int = DEFAULT_LEAF_SIZE,
         backend: Union[None, str, ExecutionBackend] = None,
-        multiply_fn: Optional[MultiplyFn] = None,
-        plan: Optional[MultiplyPlan] = None,
     ) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be positive (or None), got {window}")
         self.window = window
-        self.aggregator = SeaweedAggregator(
-            strict=strict, leaf_size=leaf_size, backend=backend,
-            multiply_fn=multiply_fn, plan=plan,
-        )
+        self.aggregator = SeaweedAggregator(strict=strict, leaf_size=leaf_size, backend=backend)
         self.ticks = 0
 
     # -------------------------------------------------------------- mutations
@@ -153,7 +147,7 @@ class StreamingLCS:
     window:
         Maximum number of live ``T`` symbols kept by :meth:`push` (``None``
         keeps ``T`` unbounded).
-    leaf_size, backend, multiply_fn, plan:
+    leaf_size, backend:
         Forwarded to the underlying match-point :class:`SeaweedAggregator`.
     """
 
@@ -164,8 +158,6 @@ class StreamingLCS:
         window: Optional[int] = None,
         leaf_size: int = DEFAULT_LEAF_SIZE,
         backend: Union[None, str, ExecutionBackend] = None,
-        multiply_fn: Optional[MultiplyFn] = None,
-        plan: Optional[MultiplyPlan] = None,
     ) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be positive (or None), got {window}")
@@ -178,10 +170,7 @@ class StreamingLCS:
         for value in np.unique(self.reference):
             positions = np.flatnonzero(self.reference == value)[::-1].astype(np.float64)
             self._matches[float(value)] = positions
-        self.aggregator = SeaweedAggregator(
-            strict=True, leaf_size=leaf_size, backend=backend,
-            multiply_fn=multiply_fn, plan=plan,
-        )
+        self.aggregator = SeaweedAggregator(strict=True, leaf_size=leaf_size, backend=backend)
         self._t_symbols: List[float] = []
         self._t_counts: List[int] = []
         self.ticks = 0

@@ -340,8 +340,9 @@ class TestServerObservability:
 
         status, _, stats = get_json(sharded_server.url + "/stats")
         assert status == 200
-        assert stats["stats_schema"] == "repro.server.stats.v4"
-        assert stats["version"] == 4
+        assert stats["stats_schema"] == "repro.server.stats.v5"
+        assert stats["version"] == 5
+        assert "plan" not in stats["service"]
 
 
 # --------------------------------------------------------------- reporting

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import MultiplyPlan
 from repro.experiments.artifacts import load_artifact, validate_artifact
 from repro.experiments.cli import main as cli_main
 from repro.perf import (
@@ -52,12 +51,6 @@ class TestRunPerf:
             assert point["metrics"]["normalized"] > 0
         names = {point["params"]["case"] for point in document["points"]}
         assert "multiply_n1024_h2" in names and "multiply_reference_n1024" in names
-
-    def test_plan_is_recorded(self):
-        plan = MultiplyPlan(fanin=3, base_size=16)
-        document = run_perf(quick=True, repeats=1, plan=plan)
-        assert document["perf"]["plan"] == plan.describe()
-        assert document["fixed"]["plan"]["fanin"] == 3
 
 
 class TestRegressionGate:
@@ -147,13 +140,3 @@ class TestPerfCLI:
         code = cli_main(["perf", "--quick", "--repeats", "1",
                          "--baseline", str(baseline_path)])
         assert code == 1
-
-    def test_cli_respects_plan_knobs(self, tmp_path):
-        out_path = tmp_path / "perf-knobs.json"
-        code = cli_main(["perf", "--quick", "--repeats", "1", "--no-check",
-                         "--fanin", "3", "--base-size", "24",
-                         "--json", str(out_path)])
-        assert code == 0
-        document = load_artifact(str(out_path))
-        assert document["perf"]["plan"]["fanin"] == 3
-        assert document["perf"]["plan"]["base_size"] == 24

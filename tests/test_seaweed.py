@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    MultiplyPlan,
     Permutation,
     ScratchArena,
     SubPermutation,
-    auto_plan,
     identity_permutation,
     multiply,
     multiply_dense,
@@ -18,8 +16,8 @@ from repro.core import (
     multiply_permutations_reference,
     random_permutation,
     random_subpermutation,
-    resolve_plan,
 )
+from repro.core import combine as combine_module
 from repro.core import seaweed as seaweed_module
 from repro.core.dense import multiply_dense_batch
 from repro.core.seaweed import (
@@ -29,6 +27,13 @@ from repro.core.seaweed import (
     strip_padding,
 )
 from repro.obs.metrics import get_registry
+
+
+def multiply_sub(pa, pb, engine=multiply_permutations_iterative, **shape):
+    """``multiply`` for sub-permutations through one engine at an explicit
+    split shape (``fanin``/``base_size``), via the §4.1 padding reduction."""
+    perm_a, perm_b, info = pad_to_permutations(pa, pb)
+    return strip_padding(engine(perm_a, perm_b, **shape), info)
 
 
 class TestSplit:
@@ -65,26 +70,27 @@ class TestMultiplyPermutations:
         for n in (1, 2, 3, 7, 20, 45):
             pa, pb = random_permutation(n, rng), random_permutation(n, rng)
             expected = multiply_dense(pa, pb).as_permutation()
-            got = multiply_permutations(pa, pb, base_size=4)
+            got = multiply_permutations_iterative(pa, pb, base_size=4)
             assert got == expected
 
     def test_all_fanins_agree(self, rng):
         pa, pb = random_permutation(40, rng), random_permutation(40, rng)
-        reference = multiply_permutations(pa, pb, fanin=2, base_size=4)
+        reference = multiply_permutations_iterative(pa, pb, fanin=2, base_size=4)
         for fanin in (3, 4, 7, 16):
-            assert multiply_permutations(pa, pb, fanin=fanin, base_size=4) == reference
+            assert multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4) == reference
 
     def test_identity_neutral(self, rng):
         p = random_permutation(30, rng)
         ident = identity_permutation(30)
-        assert multiply_permutations(p, ident, base_size=4) == p
-        assert multiply_permutations(ident, p, base_size=4) == p
+        assert multiply_permutations_iterative(p, ident, base_size=4) == p
+        assert multiply_permutations_iterative(ident, p, base_size=4) == p
 
     def test_associativity(self, rng):
         n = 24
         a, b, c = (random_permutation(n, rng) for _ in range(3))
-        left = multiply_permutations(multiply_permutations(a, b, base_size=4), c, base_size=4)
-        right = multiply_permutations(a, multiply_permutations(b, c, base_size=4), base_size=4)
+        mul = multiply_permutations_iterative
+        left = mul(mul(a, b, base_size=4), c, base_size=4)
+        right = mul(a, mul(b, c, base_size=4), base_size=4)
         assert left == right
 
     def test_size_mismatch(self, rng):
@@ -92,8 +98,8 @@ class TestMultiplyPermutations:
             multiply_permutations(random_permutation(3, rng), random_permutation(4, rng))
 
     def test_invalid_fanin(self, rng):
-        with pytest.raises(ValueError):
-            multiply_permutations(
+        with pytest.raises(ValueError, match="fanin must be at least 2"):
+            multiply_permutations_iterative(
                 random_permutation(4, rng), random_permutation(4, rng), fanin=1
             )
 
@@ -131,7 +137,7 @@ class TestMultiplyGeneral:
             n1, n2, n3 = rng.integers(1, 20, size=3)
             pa = random_subpermutation(int(n1), int(n2), int(rng.integers(0, min(n1, n2) + 1)), rng)
             pb = random_subpermutation(int(n2), int(n3), int(rng.integers(0, min(n2, n3) + 1)), rng)
-            assert multiply(pa, pb, base_size=4) == multiply_dense(pa, pb)
+            assert multiply_sub(pa, pb, base_size=4) == multiply_dense(pa, pb)
 
     def test_inner_mismatch_raises(self, rng):
         pa = random_subpermutation(4, 5, 2, rng)
@@ -148,10 +154,12 @@ class TestIterativeEngine:
     """The allocation-lean engine must be bit-identical to the reference."""
 
     def test_engine_dispatch(self, rng):
-        pa, pb = random_permutation(24, rng), random_permutation(24, rng)
-        via_plan = multiply_permutations(pa, pb, plan=MultiplyPlan(engine="reference"))
-        assert via_plan == multiply_permutations_reference(pa, pb)
-        assert multiply_permutations(pa, pb) == via_plan
+        # The public entry point runs the iterative engine, once per call.
+        pa, pb = random_permutation(200, rng), random_permutation(200, rng)
+        counter = get_registry().counter("repro_multiply_total")
+        before = counter.value()
+        assert multiply_permutations(pa, pb) == multiply_permutations_reference(pa, pb)
+        assert counter.value() - before == 1
 
     def test_identity_and_empty(self, rng):
         p = random_permutation(30, rng)
@@ -166,17 +174,15 @@ class TestIterativeEngine:
             pa, pb = random_permutation(n, rng), random_permutation(n, rng)
             expected = multiply_permutations_reference(pa, pb, fanin=2, base_size=4)
             for fanin in (2, 3, 5, 8):
-                plan = MultiplyPlan(fanin=fanin, base_size=4)
-                assert multiply_permutations_iterative(pa, pb, plan) == expected
+                got = multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4)
+                assert got == expected
 
     def test_shared_arena_across_calls(self, rng):
         arena = ScratchArena()
         for _ in range(5):
             n = int(rng.integers(1, 60))
             pa, pb = random_permutation(n, rng), random_permutation(n, rng)
-            got = multiply_permutations_iterative(
-                pa, pb, MultiplyPlan(base_size=4), arena=arena
-            )
+            got = multiply_permutations_iterative(pa, pb, base_size=4, arena=arena)
             assert got == multiply_permutations_reference(pa, pb, base_size=4)
         assert arena.nbytes > 0
 
@@ -196,19 +202,19 @@ class TestIterativeEngine:
         pa, pb = random_permutation(n, rng), random_permutation(n, rng)
         counter = get_registry().counter("repro_multiply_leaves_total")
         before = counter.value()
-        got = multiply_permutations_iterative(pa, pb, MultiplyPlan(base_size=base_size))
+        got = multiply_permutations_iterative(pa, pb, base_size=base_size)
         assert sorted(calls, key=lambda shape: shape[1]) == batches
         assert counter.value() - before == sum(num for num, _ in batches)
         assert got == multiply_permutations_reference(pa, pb, base_size=base_size)
 
     def test_subpermutations_match_reference_engine(self, rng):
-        reference_plan = MultiplyPlan(engine="reference", base_size=4)
-        iterative_plan = MultiplyPlan(base_size=4)
         for _ in range(25):
             n1, n2, n3 = rng.integers(1, 18, size=3)
             pa = random_subpermutation(int(n1), int(n2), int(rng.integers(0, min(n1, n2) + 1)), rng)
             pb = random_subpermutation(int(n2), int(n3), int(rng.integers(0, min(n2, n3) + 1)), rng)
-            assert multiply(pa, pb, plan=iterative_plan) == multiply(pa, pb, plan=reference_plan)
+            assert multiply_sub(pa, pb, base_size=4) == multiply_sub(
+                pa, pb, multiply_permutations_reference, base_size=4
+            )
 
     def test_empty_subpermutation_operands(self, rng):
         pa = SubPermutation.empty(5, 7)
@@ -219,55 +225,34 @@ class TestIterativeEngine:
         )
 
 
-class TestMultiplyPlan:
-    def test_resolution_and_overrides(self):
-        plan = resolve_plan(None, fanin=5, base_size=20)
-        assert plan.fanin == 5 and plan.base_size == 20 and plan.engine == "iterative"
-        assert resolve_plan("default") == MultiplyPlan()
-        assert resolve_plan(plan) is plan
-        with pytest.raises(ValueError):
-            resolve_plan("bogus")
-        with pytest.raises(ValueError):
-            MultiplyPlan(fanin=1)
-        with pytest.raises(ValueError):
-            MultiplyPlan(engine="other")
-
-    def test_auto_plan_is_cached_and_valid(self):
-        first = auto_plan(calibration_size=96)
-        second = auto_plan(calibration_size=96)
-        assert first == second  # process-wide cache
-        assert first.engine == "iterative"
-        assert first.fanin >= 2 and first.base_size >= 1
-
-    def test_reference_engine_respects_dense_table_limit(self, rng):
-        # dense_table_limit=0 forces every reference-engine merge onto the
-        # sparse color-major path; the product must be unchanged.
+class TestReferenceEngine:
+    def test_reference_engine_respects_dense_table_limit(self, rng, monkeypatch):
+        # A zero budget forces every reference-engine merge onto the sparse
+        # color-major path of the combine engine; the product is unchanged.
         pa, pb = random_permutation(40, rng), random_permutation(40, rng)
-        sparse_plan = MultiplyPlan(engine="reference", base_size=4, dense_table_limit=0)
-        assert multiply_permutations(pa, pb, plan=sparse_plan) == (
-            multiply_permutations_reference(pa, pb, base_size=4)
-        )
+        expected = multiply_permutations_reference(pa, pb, base_size=4)
+        sparse = []
+        original_init = combine_module.ColoredPointSet.__init__
 
-    def test_plan_multiply_fn_is_picklable(self, rng):
-        import pickle
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            sparse.append(self._dense_tables is None)
 
-        fn = MultiplyPlan(fanin=3, base_size=8).multiply_fn()
-        clone = pickle.loads(pickle.dumps(fn))
-        pa, pb = random_permutation(20, rng), random_permutation(20, rng)
-        assert clone(pa, pb) == multiply_permutations_reference(pa, pb)
+        monkeypatch.setattr(combine_module, "DENSE_TABLE_LIMIT", 0)
+        monkeypatch.setattr(combine_module.ColoredPointSet, "__init__", recording_init)
+        assert multiply_permutations_reference(pa, pb, base_size=4) == expected
+        assert sparse and all(sparse)
 
 
 class TestEngineAcrossBackends:
-    def test_backends_bit_identical_with_plan(self, rng):
+    def test_backends_bit_identical(self, rng):
         """serial/thread/process leaf builds with the iterative engine agree."""
         from repro.streaming import StreamingLIS
 
         stream = rng.random(300)
         roots = []
         for backend in ("serial", "thread", "process"):
-            session = StreamingLIS(
-                window=256, leaf_size=32, backend=backend, plan=MultiplyPlan(base_size=16)
-            )
+            session = StreamingLIS(window=256, leaf_size=32, backend=backend)
             session.push(stream)
             roots.append(session.to_semilocal().matrix)
         assert roots[0] == roots[1] == roots[2]
@@ -284,7 +269,7 @@ def test_multiply_matches_dense_property(n, fanin, seed):
     rng = np.random.default_rng(seed)
     pa, pb = random_permutation(n, rng), random_permutation(n, rng)
     expected = multiply_dense(pa, pb).as_permutation()
-    assert multiply_permutations(pa, pb, fanin=fanin, base_size=4) == expected
+    assert multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=4) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -302,7 +287,7 @@ def test_subpermutation_multiply_property(dims, seed):
     rng = np.random.default_rng(seed)
     pa = random_subpermutation(n1, n2, int(rng.integers(0, min(n1, n2) + 1)), rng)
     pb = random_subpermutation(n2, n3, int(rng.integers(0, min(n2, n3) + 1)), rng)
-    assert multiply(pa, pb, base_size=4) == multiply_dense(pa, pb)
+    assert multiply_sub(pa, pb, base_size=4) == multiply_dense(pa, pb)
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,8 +303,8 @@ def test_iterative_engine_bit_identity_property(n, fanin, base_size, seed):
     rng = np.random.default_rng(seed)
     pa, pb = random_permutation(n, rng), random_permutation(n, rng)
     expected = multiply_permutations_reference(pa, pb, fanin=fanin, base_size=base_size)
-    plan = MultiplyPlan(fanin=fanin, base_size=base_size)
-    assert multiply_permutations_iterative(pa, pb, plan) == expected
+    got = multiply_permutations_iterative(pa, pb, fanin=fanin, base_size=base_size)
+    assert got == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -339,8 +324,6 @@ def test_iterative_engine_subpermutation_identity_property(dims, fanin, seed):
     rng = np.random.default_rng(seed)
     pa = random_subpermutation(n1, n2, int(rng.integers(0, min(n1, n2) + 1)), rng)
     pb = random_subpermutation(n2, n3, int(rng.integers(0, min(n2, n3) + 1)), rng)
-    iterative = multiply(pa, pb, plan=MultiplyPlan(fanin=fanin, base_size=4))
-    reference = multiply(
-        pa, pb, plan=MultiplyPlan(fanin=fanin, base_size=4, engine="reference")
-    )
-    assert iterative == reference == multiply_dense(pa, pb)
+    iterative = multiply_sub(pa, pb, fanin=fanin, base_size=4)
+    reference = multiply_sub(pa, pb, multiply_permutations_reference, fanin=fanin, base_size=4)
+    assert iterative == reference == multiply(pa, pb) == multiply_dense(pa, pb)

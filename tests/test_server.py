@@ -749,6 +749,27 @@ class TestSessions:
         finally:
             handle.stop()
 
+    def test_nan_symbols_are_a_400(self):
+        # JSON NaN has no order; a push carrying one is refused before it
+        # reaches the window, which keeps answering as before.
+        handle = start_server()
+        try:
+            status, _, state = post_json(handle.url + "/sessions", {"kind": "lis", "push": [1, 2]})
+            assert status == 200
+            sid = state["id"]
+            status, _, body = post_json(
+                handle.url + f"/sessions/{sid}/push", {"symbols": [1, float("nan")]}
+            )
+            assert status == 400 and "'symbols' must not contain NaN" in body["error"]
+            status, _, body = post_json(
+                handle.url + "/sessions", {"kind": "lis", "push": [float("nan")]}
+            )
+            assert status == 400 and "'push' must not contain NaN" in body["error"]
+            status, _, state = get_json(handle.url + f"/sessions/{sid}")
+            assert status == 200 and state["size"] == 2 and state["answer"] == 2
+        finally:
+            handle.stop()
+
 
 # ------------------------------------------------------ per-request parse gap
 class TestBatchParseErrors:

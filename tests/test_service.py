@@ -407,6 +407,12 @@ class TestRequestsDocument:
             ),
             (lambda d: d["requests"][1].pop("j"), "needs 'i' and 'j'"),
             (lambda d: d["requests"][2].pop("width"), "needs 'width'"),
+            (
+                lambda d: d["requests"].__setitem__(
+                    0, {"op": "lis_length", "sequence": [1, float("nan"), 2, 3]}
+                ),
+                "'sequence' must not contain NaN",
+            ),
         ],
     )
     def test_malformed_documents_rejected(self, mutation, message):
@@ -692,6 +698,7 @@ class TestLenientParsing:
             {"op": "lis_length", "string_workload": "correlated_pair", "n": 64},  # kind mismatch
             "not-an-object",
             {"op": "lis_length", "workload": "nope", "n": 64},  # unknown workload
+            {"op": "lis_length", "sequence": [1, float("nan"), 2, 3]},  # unordered symbol
         ],
     )
     def test_every_malformation_is_isolated(self, bad_entry):
