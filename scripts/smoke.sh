@@ -9,7 +9,8 @@
 # annotations parsed and resolved via /debug/traces -> teardown even on
 # failure), a sharded serve-http cycle (--shards 2: health
 # poll, cold/warm POST, per-shard /stats assertions, the per-shard /metrics
-# counters carrying the same values, trap teardown), a sampled serve-http cycle
+# counters and the shards' cache/query sums carrying the same values, trap
+# teardown), a sampled serve-http cycle
 # (1% head rate: sampler counters tick, /debug/slo reconciles with /stats,
 # an SLO burn-rate artifact is recorded on shutdown and validated, and
 # --slo-history, which starts the periodic SLO task, persists window rows
@@ -145,7 +146,7 @@ assert record["status"] == "done", record
 stats = call("GET", "/stats")
 assert stats["requests"]["answered"] == 4, stats["requests"]
 assert stats["builds"]["done"] == 1, stats["builds"]
-assert stats["stats_schema"] == "repro.server.stats.v5", stats["stats_schema"]
+assert stats["stats_schema"] == "repro.server.stats.v6", stats["stats_schema"]
 
 # The codec answers a malformed frame with a prompt 400, not a traceback.
 import socket
@@ -310,6 +311,19 @@ for shard_id, expected in enumerate(service["load"]["per_shard_requests"]):
     assert observed == float(expected), (
         f"/metrics shard {shard_id} counter {observed} != /stats {expected}"
     )
+# The shards' service and cache counts: /stats sums the same shard-stamped
+# series /metrics renders.
+lookups = parsed["repro_cache_lookups_total"]
+for result, key_name in (("hit", "hits"), ("miss", "misses")):
+    observed = sum(v for key, v in lookups.items() if ("result", result) in key)
+    expected = service["cache"][key_name]
+    assert observed == float(expected), (
+        f"/metrics cache {result} sum {observed} != /stats {expected}"
+    )
+queries = sum(parsed["repro_service_queries_total"].values())
+assert queries == float(service["queries_evaluated"]), (
+    f"/metrics queries {queries} != /stats {service['queries_evaluated']}"
+)
 assert "repro_shard_pipe_seconds_count" in parsed, "pipe timing histogram missing"
 
 # A traced batch covers edge -> coalesce -> route -> worker -> answer.
@@ -320,7 +334,8 @@ names = {span["name"] for span in trace["spans"]}
 assert {"edge", "coalesce", "route", "worker", "answer"} <= names, names
 print(
     f"sharded serve-http OK: workers={service['workers']}, "
-    f"per-shard requests={service['load']['per_shard_requests']} "
+    f"per-shard requests={service['load']['per_shard_requests']} and cache "
+    f"hits/misses {service['cache']['hits']}/{service['cache']['misses']} "
     f"(same on /metrics), trace {trace_id} spans={sorted(names)}, "
     f"cold->warm shard-cache hit verified"
 )

@@ -822,7 +822,7 @@ def run_service_throughput_point(
     counters = service.cache.counters()
     return {
         "n": n,
-        "build_seconds": service.build_seconds,
+        "build_seconds": service.stats()["build_seconds"],
         "warm_batch_seconds": warm_seconds,
         "cached_qps": cached_qps,
         "naive_per_query_seconds": naive_per_query,

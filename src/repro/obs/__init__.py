@@ -15,7 +15,7 @@ Five cooperating pieces, threaded through every serving layer:
   (cache spill/load, shard restart, coalesce merge).
 * :mod:`repro.obs.sampling` — the head+tail adaptive trace sampler:
   deterministic hash-based head sampling plus per-route tail-latency
-  retention, with every decision exposed as metrics.
+  retention; the tracer counts every decision in its own registry.
 * :mod:`repro.obs.slo` — declarative SLOs (availability,
   latency-under-threshold) evaluated from registry snapshots with
   multi-window burn rates (Google SRE workbook style); the window history
@@ -25,10 +25,11 @@ Five cooperating pieces, threaded through every serving layer:
   trend tables from recorded ``results/*.json`` artifacts as ASCII, plus
   the ``--capacity`` planning mode and the ``--slo`` burn-rate section.
 
-``metrics`` and ``trace`` import nothing from the rest of the package so the
-innermost layers (``core.seaweed``, ``service.cache``) can instrument
-themselves without import cycles; ``sampling`` and ``slo`` build on
-``metrics`` only; ``report`` is imported lazily by the CLI.
+``metrics``, ``sampling`` and ``trace`` import nothing from outside
+``obs`` so the innermost layers (``core.seaweed``, ``service.cache``) can
+instrument themselves without import cycles; ``sampling`` and ``slo``
+build on ``metrics`` only, ``trace`` on ``metrics`` and ``sampling``;
+``report`` is imported lazily by the CLI.
 """
 
 from . import metrics, sampling, slo, trace

@@ -15,11 +15,15 @@ Design constraints, in order:
    snapshot with ``shard="i"`` before merging, so per-shard series survive
    the merge).
 
-The module-level default registry (:func:`get_registry`) is what the
-process-wide subsystems (service, cache, multiply engine, sampler) record
-into; every process — the server process and each shard worker — has its
-own.  A :class:`~repro.server.core.ServerCore` and a
-:class:`~repro.service.sharding.ShardRouter` each own a private
+The module-level default registry (:func:`get_registry`) is what
+module-level code with no owning instance records into (the multiply
+engine, the scratch arena, fault injection, deadline stages); every
+process — the server process and each shard worker — has its own.  Every
+serving object that counts (a :class:`~repro.server.core.ServerCore`, its
+:class:`~repro.obs.trace.Tracer`, a
+:class:`~repro.service.sharding.ShardRouter`, a
+:class:`~repro.service.serving.QueryService` and its
+:class:`~repro.service.cache.IndexCache`) owns a private
 :class:`MetricsRegistry` instead, so two servers in one process never mix
 their counts; their ``stats()`` documents are views over those registries
 read through :func:`snapshot_value` and :func:`snapshot_timing`.
@@ -250,9 +254,9 @@ class MetricsRegistry:
     modules call them at import time and every call site sharing a
     registry shares one metric object.  The process-global registry
     (:func:`get_registry`) serves module-level instrumentation; serving
-    objects that must keep their counts apart (one server core or shard
-    router per experiment grid point) construct their own and merge its
-    :meth:`snapshot` into the exposition.
+    objects that must keep their counts apart (one server per experiment
+    grid point, each with its own service and cache) construct their own
+    and merge its :meth:`snapshot` into the exposition.
     """
 
     def __init__(self) -> None:
@@ -333,7 +337,7 @@ _REGISTRY = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide default registry every subsystem instruments into."""
+    """The process-wide default registry module-level instrumentation uses."""
     return _REGISTRY
 
 

@@ -19,44 +19,28 @@ per-route threshold — the larger of an absolute floor
 ``warmup`` observations exist).  So a p99.9 outlier is never lost to a 1%
 head rate, which is the entire point of sampling by tail.
 
-Every decision is visible: ``repro_traces_sampled_total{decision=...}``,
+The sampler is policy only.  The :class:`~repro.obs.trace.Tracer` that
+asks it counts every decision in its own registry
+(``repro_traces_sampled_total{decision=...}``,
 ``repro_traces_dropped_total`` and the ``repro_trace_ring_occupancy``
-gauge make the ring buffer's behaviour itself observable.
+gauge), which makes the ring buffer's behaviour itself observable.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Any, Dict, Optional, Tuple
 
-from .metrics import get_registry, histogram_quantile, log_buckets
+from .metrics import MetricsRegistry, histogram_quantile
 
 __all__ = ["TraceSampler", "head_decision"]
-
-_SAMPLED = get_registry().counter(
-    "repro_traces_sampled_total",
-    "Completed traces retained by the sampler, by decision (head|tail)",
-    ("decision",),
-)
-_DROPPED = get_registry().counter(
-    "repro_traces_dropped_total",
-    "Completed traces dropped by the sampler (lost the head lottery, under the tail threshold)",
-)
-_RING_OCCUPANCY = get_registry().gauge(
-    "repro_trace_ring_occupancy",
-    "Completed traces currently retained in the tracer ring buffer",
-)
 
 #: The head decision compares the top 64 bits of SHA-256(trace_id) against
 #: ``head_rate * 2**64`` — uniform, stable across processes and Python
 #: versions (unlike ``hash()``, which is salted per process).
 _HEAD_DENOMINATOR = float(2**64)
 
-#: Duration buckets for the adaptive per-route threshold: the same
-#: 10 µs … ~84 s factor-2 grid every latency histogram uses, so the
-#: threshold quantile is comparable with ``repro_http_request_seconds``.
-_TAIL_BOUNDS = log_buckets()
+_ROUTE_SECONDS = "route_seconds"
 
 
 def head_decision(trace_id: str, rate: float) -> bool:
@@ -75,7 +59,7 @@ def head_decision(trace_id: str, rate: float) -> bool:
 
 
 class TraceSampler:
-    """Head+tail sampling policy plus the counters that make it observable.
+    """Head+tail sampling policy (the tracer counts what it decides).
 
     Parameters
     ----------
@@ -113,48 +97,38 @@ class TraceSampler:
         self.tail_quantile = float(tail_quantile)
         self.tail_min_seconds = None if tail_min_seconds is None else float(tail_min_seconds)
         self.warmup = int(warmup)
-        self._lock = threading.Lock()
-        # route -> per-bucket duration counts (non-cumulative, like Histogram)
-        self._route_counts: Dict[str, list] = {}
-        self._route_totals: Dict[str, int] = {}
+        # Per-route durations on the 10 µs … ~84 s factor-2 grid every
+        # latency histogram uses, so the threshold quantile is comparable
+        # with ``repro_http_request_seconds``.  Private: never exposed.
+        self._registry = MetricsRegistry()
+        self._durations = self._registry.histogram(
+            _ROUTE_SECONDS, "Completed trace durations by route", ("route",)
+        )
 
     # ------------------------------------------------------------------ head
     def head_decision(self, trace_id: str) -> bool:
         return head_decision(trace_id, self.head_rate)
 
     # ------------------------------------------------------------------ tail
-    def tail_threshold(self, route: str) -> Optional[float]:
-        """The current retention threshold (seconds) for ``route``.
-
-        The larger of the absolute floor and the adaptive quantile; ``None``
-        while neither is available (no floor configured, route not warm).
-        """
-        with self._lock:
-            total = self._route_totals.get(route, 0)
-            counts = list(self._route_counts.get(route, ()))
+    def _threshold(self, sample: Optional[Dict[str, Any]]) -> Optional[float]:
         adaptive = None
-        if total >= self.warmup:
-            adaptive = histogram_quantile(self.tail_quantile, _TAIL_BOUNDS, counts)
+        if sample is not None and sample["count"] >= self.warmup:
+            adaptive = histogram_quantile(
+                self.tail_quantile, self._durations.bounds, sample["counts"]
+            )
         if self.tail_min_seconds is None:
             return adaptive
         if adaptive is None:
             return self.tail_min_seconds
         return max(self.tail_min_seconds, adaptive)
 
-    def _observe(self, route: str, duration: float) -> None:
-        lo, hi = 0, len(_TAIL_BOUNDS)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if duration <= _TAIL_BOUNDS[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        with self._lock:
-            counts = self._route_counts.get(route)
-            if counts is None:
-                counts = self._route_counts[route] = [0] * (len(_TAIL_BOUNDS) + 1)
-            counts[lo] += 1
-            self._route_totals[route] = self._route_totals.get(route, 0) + 1
+    def tail_threshold(self, route: str) -> Optional[float]:
+        """The current retention threshold (seconds) for ``route``.
+
+        The larger of the absolute floor and the adaptive quantile; ``None``
+        while neither is available (no floor configured, route not warm).
+        """
+        return self._threshold(self._durations.sample(route=route))
 
     # -------------------------------------------------------------- decision
     def decide(
@@ -165,23 +139,18 @@ class TraceSampler:
         ``decision`` is ``"head"`` or ``"tail"`` when kept, ``None`` when
         dropped.  Every completed duration feeds the route's adaptive
         threshold — dropped traces included, or the quantile would drift
-        toward the retained (biased) population.
+        toward the retained (biased) population.  The threshold is read
+        before the duration is folded in, so an outlier cannot raise the
+        bar that judges it.
         """
         duration = float(duration)
-        threshold = self.tail_threshold(route)
-        self._observe(route, duration)
+        threshold = None if head_sampled else self.tail_threshold(route)
+        self._durations.observe(duration, route=route)
         if head_sampled:
-            _SAMPLED.inc(decision="head")
             return True, "head"
         if threshold is not None and duration >= threshold:
-            _SAMPLED.inc(decision="tail")
             return True, "tail"
-        _DROPPED.inc()
         return False, None
-
-    def note_ring_size(self, retained: int) -> None:
-        """Publish the ring buffer's occupancy (called by the tracer)."""
-        _RING_OCCUPANCY.set(retained)
 
     # ----------------------------------------------------------------- intro
     def config(self) -> Dict[str, Any]:
@@ -195,12 +164,10 @@ class TraceSampler:
 
     def route_state(self) -> Dict[str, Dict[str, Any]]:
         """Per-route observation counts and current thresholds (debugging)."""
-        with self._lock:
-            routes = list(self._route_totals)
         return {
-            route: {
-                "observed": self._route_totals.get(route, 0),
-                "threshold_seconds": self.tail_threshold(route),
+            dict(labels)["route"]: {
+                "observed": sample["count"],
+                "threshold_seconds": self._threshold(sample),
             }
-            for route in routes
+            for labels, sample in self._registry.snapshot()[_ROUTE_SECONDS]["samples"]
         }

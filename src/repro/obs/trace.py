@@ -17,12 +17,13 @@ paths such as the perf benchmark.  The same holds for
 spill/load, shard restart/retry, coalesce merge) that marks a moment
 inside the current span without opening a child.
 
-Retention is a policy, not a given: when the tracer is built with a
-:class:`~repro.obs.sampling.TraceSampler`, the head decision is taken at
-mint time (deterministic in the trace ID) and tail retention at completion
+Retention is a policy, not a given: the tracer's
+:class:`~repro.obs.sampling.TraceSampler` takes the head decision at mint
+time (deterministic in the trace ID) and tail retention at completion
 time — a trace that lost the head lottery is still kept if its end-to-end
-latency crosses the per-route threshold.  Without a sampler every
-completed trace is retained, the pre-sampler behaviour.
+latency crosses the per-route threshold.  The default sampler's head rate
+of 1.0 retains every completed trace.  The tracer counts each verdict in
+its own registry (:attr:`Tracer.metrics`).
 
 Spans live in memory only; :meth:`Tracer.export_chrome` converts a trace to
 the Chrome trace-event JSON format (load via ``chrome://tracing`` or
@@ -40,6 +41,9 @@ import uuid
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
+
+from .metrics import MetricsRegistry, snapshot_value
+from .sampling import TraceSampler
 
 __all__ = [
     "Span",
@@ -273,20 +277,32 @@ def span_event(name: str, **attrs: Any) -> None:
 class Tracer:
     """Mints traces and retains the most recent completed ones.
 
-    With a ``sampler`` (:class:`~repro.obs.sampling.TraceSampler`), the ring
-    buffer holds head-sampled traces plus tail outliers only; without one,
-    every completed trace (the pre-sampler behaviour, and what the direct
-    unit-test uses of this class expect).
+    The ``sampler`` (default: head rate 1.0, keep everything) decides which
+    completed traces the ring buffer holds; :attr:`metrics` counts each
+    decision once and :meth:`stats` reads it.
     """
 
-    def __init__(self, capacity: int = 128, sampler: Optional[Any] = None):
+    def __init__(self, capacity: int = 128, sampler: Optional[TraceSampler] = None):
         self.capacity = capacity
-        self.sampler = sampler
+        self.sampler = sampler if sampler is not None else TraceSampler()
         self._completed: "deque[Trace]" = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._started = 0
-        self._retained_total = 0
-        self._dropped_total = 0
+        self.metrics = MetricsRegistry()
+        self._sampled = self.metrics.counter(
+            "repro_traces_sampled_total",
+            "Completed traces retained by the sampler, by decision (head|tail)",
+            ("decision",),
+        )
+        self._dropped = self.metrics.counter(
+            "repro_traces_dropped_total",
+            "Completed traces dropped by the sampler (lost the head lottery, "
+            "under the tail threshold)",
+        )
+        self._ring_occupancy = self.metrics.gauge(
+            "repro_trace_ring_occupancy",
+            "Completed traces currently retained in the tracer ring buffer",
+        )
 
     @contextmanager
     def start_trace(self, name: str, route: Optional[str] = None, **attrs: Any) -> Iterator[Trace]:
@@ -297,8 +313,7 @@ class Tracer:
         in the minted trace ID.
         """
         trace = Trace(self, uuid.uuid4().hex[:16], name, route=route)
-        if self.sampler is not None:
-            trace.head_sampled = self.sampler.head_decision(trace.trace_id)
+        trace.head_sampled = self.sampler.head_decision(trace.trace_id)
         with self._lock:
             self._started += 1
         root = trace.new_span(name, None, attrs)
@@ -310,24 +325,19 @@ class Tracer:
             root.finish()
 
     def _on_trace_finished(self, trace: Trace) -> None:
-        if self.sampler is None:
-            keep, decision = True, "head"
-        else:
-            duration = trace.root.duration if trace.root is not None else 0.0
-            keep, decision = self.sampler.decide(
-                trace.route, duration or 0.0, trace.head_sampled
-            )
+        duration = trace.root.duration if trace.root is not None else 0.0
+        keep, decision = self.sampler.decide(trace.route, duration or 0.0, trace.head_sampled)
         trace.retained = keep
         trace.retain_decision = decision
         with self._lock:
             if keep:
                 self._completed.append(trace)
-                self._retained_total += 1
-            else:
-                self._dropped_total += 1
             occupancy = len(self._completed)
-        if self.sampler is not None:
-            self.sampler.note_ring_size(occupancy)
+        if keep:
+            self._sampled.inc(decision=decision)
+        else:
+            self._dropped.inc()
+        self._ring_occupancy.set(occupancy)
 
     # ----------------------------------------------------------------- query
     def completed(self) -> List[Trace]:
@@ -342,17 +352,17 @@ class Tracer:
         return None
 
     def stats(self) -> Dict[str, Any]:
+        snapshot = self.metrics.snapshot()
         with self._lock:
-            out = {
-                "started": self._started,
-                "retained": len(self._completed),
-                "capacity": self.capacity,
-                "sampled_total": self._retained_total,
-                "dropped_total": self._dropped_total,
-            }
-        if self.sampler is not None:
-            out["sampler"] = self.sampler.config()
-        return out
+            started, retained = self._started, len(self._completed)
+        return {
+            "started": started,
+            "retained": retained,
+            "capacity": self.capacity,
+            "sampled_total": snapshot_value(snapshot, "repro_traces_sampled_total"),
+            "dropped_total": snapshot_value(snapshot, "repro_traces_dropped_total"),
+            "sampler": self.sampler.config(),
+        }
 
     def summaries(self) -> List[Dict[str, Any]]:
         return [trace.summary() for trace in reversed(self.completed())]

@@ -13,8 +13,9 @@ probe failure re-opens it and restarts the cooldown.
 The clock is injectable and every transition fires an ``on_transition``
 callback, which the router wires to the
 ``repro_breaker_transitions_total`` counter, the ``repro_breaker_state``
-gauge and a span event — the state machine itself stays import-cycle-free
-of the metrics registry.
+gauge and a span event.  That counter is the one store of transition
+counts: the breaker keeps none of its own, so the state machine stays
+import-cycle-free of the metrics registry.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ class CircuitBreaker:
         self._outcomes: "deque[bool]" = deque(maxlen=self.config.window)
         self._opened_at = 0.0
         self._probe_inflight = False
-        self.transitions: Dict[str, int] = {}
-        self.opened_total = 0
         self.rejected_calls = 0
 
     # ------------------------------------------------------------- internals
@@ -90,10 +89,7 @@ class CircuitBreaker:
         if old_state == new_state:
             return
         self._state = new_state
-        key = f"{old_state}->{new_state}"
-        self.transitions[key] = self.transitions.get(key, 0) + 1
         if new_state == "open":
-            self.opened_total += 1
             self._opened_at = self._clock()
         if new_state != "half_open":
             self._probe_inflight = False
@@ -187,8 +183,6 @@ class CircuitBreaker:
                 "consecutive_failures": self._consecutive_failures,
                 "window_calls": len(self._outcomes),
                 "window_failures": sum(1 for ok in self._outcomes if not ok),
-                "opened_total": self.opened_total,
                 "rejected_calls": self.rejected_calls,
-                "transitions": dict(self.transitions),
                 "cooldown_seconds": self.config.cooldown_seconds,
             }

@@ -92,7 +92,7 @@ __all__ = [
 
 BATCH_SCHEMA_ID = "repro.server.batch"
 STATS_SCHEMA_ID = "repro.server.stats"
-STATS_SCHEMA_VERSION = 5
+STATS_SCHEMA_VERSION = 6
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Period of the background task that appends a row to the SLO history
@@ -212,14 +212,11 @@ class ServerCore:
         self._session_counter = itertools.count(1)
         self._tasks: set = set()
         self._started = time.perf_counter()
-        #: Head+tail retention policy for the ring buffer.  The default
-        #: (head_rate=1.0) keeps every completed trace — the historical
-        #: behaviour — while still exercising the decision counters.
-        self.sampler = sampler if sampler is not None else TraceSampler()
         #: Per-request traces, minted at the HTTP edge for batch POSTs;
-        #: the sampler decides which land in the bounded ring buffer
-        #: behind ``GET /debug/traces``.
-        self.tracer = Tracer(capacity=trace_capacity, sampler=self.sampler)
+        #: the sampler (default head_rate=1.0: keep every completed trace)
+        #: decides which land in the bounded ring buffer behind
+        #: ``GET /debug/traces``.
+        self.tracer = Tracer(capacity=trace_capacity, sampler=sampler)
         #: Declarative objectives with multi-window burn rates, evaluated
         #: from the same merged snapshot ``/metrics`` renders
         #: (``GET /debug/slo``).
@@ -486,7 +483,7 @@ class ServerCore:
                     "schema": "repro.server.traces",
                     "version": 1,
                     **self.tracer.stats(),
-                    "tail_thresholds": self.sampler.route_state(),
+                    "tail_thresholds": self.tracer.sampler.route_state(),
                     "traces": self.tracer.summaries(),
                 }
             if path.startswith("/debug/traces/"):
@@ -526,35 +523,34 @@ class ServerCore:
     def metrics_snapshot(self) -> Dict[str, Any]:
         """The merged metrics snapshot every observability surface reads.
 
-        Merges the process-global registry, this core's registry, the
-        service's own snapshots (a shard router's registry plus its
-        shard-stamped worker-process snapshots, shipped over the router
-        pipes), and point-in-time fragments (uptime, build info).
-        ``/metrics``, ``/debug/exemplars``, ``/debug/slo`` and ``/stats``
-        all derive from this one snapshot.
+        Merges the process-global registry (multiply engine, arena, fault
+        and deadline counters), this core's and its tracer's registries,
+        the service's :meth:`metric_snapshots` (a plain service's and its
+        cache's registries, or a shard router's registry plus one
+        shard-stamped snapshot per shard, shipped over the router pipes),
+        and point-in-time fragments (uptime, build info).  ``/metrics``,
+        ``/debug/exemplars``, ``/debug/slo`` and ``/stats`` all derive from
+        this one snapshot.
         """
         from .. import __version__
 
-        parts = [get_registry().snapshot(), self.metrics.snapshot()]
-        extra = getattr(self.service, "extra_metric_snapshots", None)
-        if callable(extra):
-            parts.extend(extra())
-        parts.append(
+        return merge_snapshots(
+            get_registry().snapshot(),
+            self.metrics.snapshot(),
+            self.tracer.metrics.snapshot(),
+            *self.service.metric_snapshots(),
             gauge_fragment(
                 "repro_server_uptime_seconds",
                 time.perf_counter() - self._started,
                 "Seconds since this server core started",
-            )
-        )
-        parts.append(
+            ),
             gauge_fragment(
                 "repro_build_info",
                 1,
                 "Constant 1; the label carries the version",
                 labels={"version": __version__},
-            )
+            ),
         )
-        return merge_snapshots(*parts)
 
     def metrics_text(self) -> str:
         """The merged Prometheus exposition for ``GET /metrics``."""

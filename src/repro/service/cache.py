@@ -8,44 +8,47 @@ acceleration structures), evicts least-recently-used entries when over
 budget, and can optionally **spill** evicted entries to compressed ``.npz``
 files so a later request pays a disk load instead of a full rebuild.
 
-Every interaction is counted (hits / misses / evictions / spill round-trips);
-the counters surface in service stats and in the ``service_throughput``
-artifact, because a cache without observable hit-rates cannot be tuned.
+Every interaction is counted once (hits / misses / evictions / spill
+round-trips), in the cache's own registry; service stats, the
+``service_throughput`` artifact and ``/metrics`` all read those series,
+because a cache without observable hit-rates cannot be tuned.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .index import SemiLocalIndex
-from ..obs.metrics import get_registry
+from ..obs.metrics import MetricsRegistry, snapshot_value
 from ..obs.trace import span_event
 from ..resilience.faults import fault_point
 
-__all__ = ["IndexCache", "DEFAULT_CACHE_BYTES"]
-
-# Registry-level mirrors of the per-instance counters below: every cache in
-# the process records into the same labelled series, so a /metrics scrape
-# sees the cache behaviour of the whole process (and, merged over the shard
-# pipe, of the whole fleet).
-_LOOKUPS = get_registry().counter(
-    "repro_cache_lookups_total", "Index cache lookups by outcome", ("result",)
-)
-_EVICTIONS = get_registry().counter(
-    "repro_cache_evictions_total", "LRU evictions from the index cache"
-)
-_SPILLS = get_registry().counter(
-    "repro_cache_spills_total", "Disk spill round-trips by direction", ("direction",)
-)
-_RESIDENT_BYTES = get_registry().gauge(
-    "repro_cache_resident_bytes", "Bytes resident across this process's index caches"
-)
+__all__ = ["IndexCache", "DEFAULT_CACHE_BYTES", "cache_counters"]
 
 #: Default in-memory budget: generous for laptop-scale experiments, small
 #: enough that the eviction path is actually exercised by real workloads.
 DEFAULT_CACHE_BYTES = 256 << 20
+
+
+def cache_counters(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """The cache counts in one cache's snapshot or a fleet's merge (JSON-safe)."""
+    count = functools.partial(snapshot_value, snapshot)
+    hits = count("repro_cache_lookups_total", result="hit")
+    misses = count("repro_cache_lookups_total", result="miss")
+    return {
+        "entries": int(count("repro_cache_entries")),
+        "current_bytes": int(count("repro_cache_resident_bytes")),
+        "hits": hits,
+        "misses": misses,
+        "evictions": count("repro_cache_evictions_total"),
+        "spill_saves": count("repro_cache_spills_total", direction="save"),
+        "spill_loads": count("repro_cache_spills_total", direction="load"),
+        "oversize_spills": count("repro_cache_oversize_spills_total"),
+        "hit_rate": hits / (hits + misses) if (hits + misses) else 0.0,
+    }
 
 
 class IndexCache:
@@ -65,6 +68,8 @@ class IndexCache:
         When set, evicted indexes are written to ``<spill_dir>/<fp>.npz``
         and looked up there on a memory miss (``spill_loads`` counts the
         successful reloads).  ``None`` disables disk spill.
+
+    Counts live in :attr:`metrics`; :meth:`counters` is a view over it.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES, spill_dir: Optional[str] = None) -> None:
@@ -73,13 +78,24 @@ class IndexCache:
         self.max_bytes = int(max_bytes)
         self.spill_dir = spill_dir
         self._entries: "OrderedDict[str, SemiLocalIndex]" = OrderedDict()
+        #: Read by the eviction loop; published as ``repro_cache_resident_bytes``.
         self.current_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.spill_saves = 0
-        self.spill_loads = 0
-        self.oversize_spills = 0
+        self.metrics = MetricsRegistry()
+        counter, gauge = self.metrics.counter, self.metrics.gauge
+        self._lookups = counter(
+            "repro_cache_lookups_total", "Index cache lookups by outcome", ("result",)
+        )
+        self._evictions = counter(
+            "repro_cache_evictions_total", "LRU evictions from the index cache"
+        )
+        self._spills = counter(
+            "repro_cache_spills_total", "Disk spill round-trips by direction", ("direction",)
+        )
+        self._oversize_spills = counter(
+            "repro_cache_oversize_spills_total", "Indexes over the budget spilled to disk"
+        )
+        self._entry_count = gauge("repro_cache_entries", "Indexes resident in this cache")
+        self._resident_bytes = gauge("repro_cache_resident_bytes", "Bytes resident in this cache")
 
     # ----------------------------------------------------------------- spill
     def _spill_path(self, fingerprint: str) -> Optional[str]:
@@ -102,8 +118,7 @@ class IndexCache:
         tmp_path = f"{path}.{os.getpid()}.tmp.npz"
         index.save(tmp_path)
         os.replace(tmp_path, path)
-        self.spill_saves += 1
-        _SPILLS.inc(direction="save")
+        self._spills.inc(direction="save")
         span_event(
             "cache_spill_save", fingerprint=index.fingerprint, nbytes=index.nbytes
         )
@@ -132,8 +147,7 @@ class IndexCache:
             except OSError:
                 pass
             return None
-        self.spill_loads += 1
-        _SPILLS.inc(direction="load")
+        self._spills.inc(direction="load")
         span_event("cache_spill_load", fingerprint=fingerprint, nbytes=index.nbytes)
         return index
 
@@ -154,11 +168,9 @@ class IndexCache:
         entry = self._entries.get(fingerprint)
         if entry is not None:
             self._entries.move_to_end(fingerprint)
-            self.hits += 1
-            _LOOKUPS.inc(result="hit")
+            self._lookups.inc(result="hit")
             return entry
-        self.misses += 1
-        _LOOKUPS.inc(result="miss")
+        self._lookups.inc(result="miss")
         loaded = self._spill_load(fingerprint)
         if loaded is not None and loaded.nbytes <= self.max_bytes:
             # Oversized spill entries keep serving from disk — re-admitting
@@ -179,7 +191,7 @@ class IndexCache:
         if index.nbytes > self.max_bytes and (self.spill_dir is not None or self._entries):
             if self.spill_dir is not None:
                 self._spill_save(index)
-                self.oversize_spills += 1
+                self._oversize_spills.inc()
             return
         self._insert(index)
 
@@ -207,43 +219,33 @@ class IndexCache:
     def clear(self) -> None:
         """Drop every in-memory entry (spill files are left in place)."""
         self._entries.clear()
-        _RESIDENT_BYTES.add(-self.current_bytes)
         self.current_bytes = 0
+        self._publish_residency()
 
     def counters(self) -> Dict[str, Any]:
         """The observable cache state (JSON-safe, used in artifacts)."""
-        return {
-            "entries": len(self._entries),
-            "current_bytes": int(self.current_bytes),
-            "max_bytes": int(self.max_bytes),
-            "hits": int(self.hits),
-            "misses": int(self.misses),
-            "evictions": int(self.evictions),
-            "spill_saves": int(self.spill_saves),
-            "spill_loads": int(self.spill_loads),
-            "oversize_spills": int(self.oversize_spills),
-            "hit_rate": (
-                self.hits / (self.hits + self.misses) if (self.hits + self.misses) else 0.0
-            ),
-        }
+        return {**cache_counters(self.metrics.snapshot()), "max_bytes": int(self.max_bytes)}
 
     # -------------------------------------------------------------- internals
+    def _publish_residency(self) -> None:
+        self._entry_count.set(len(self._entries))
+        self._resident_bytes.set(self.current_bytes)
+
     def _insert(self, index: SemiLocalIndex) -> None:
         self._entries[index.fingerprint] = index
         self._entries.move_to_end(index.fingerprint)
         self.current_bytes += index.nbytes
-        _RESIDENT_BYTES.add(index.nbytes)
         # Evict LRU entries until back under budget, but never the entry just
         # inserted (len > 1): one oversized index beats caching nothing.
         while self.current_bytes > self.max_bytes and len(self._entries) > 1:
             victim_fp = next(iter(self._entries))
             victim = self._remove(victim_fp)
             self._spill_save(victim)
-            self.evictions += 1
-            _EVICTIONS.inc()
+            self._evictions.inc()
+        self._publish_residency()
 
     def _remove(self, fingerprint: str) -> SemiLocalIndex:
         entry = self._entries.pop(fingerprint)
         self.current_bytes -= entry.nbytes
-        _RESIDENT_BYTES.add(-entry.nbytes)
+        self._publish_residency()
         return entry

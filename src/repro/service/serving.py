@@ -22,6 +22,7 @@ one expensive (sub)unit-Monge product, unboundedly many O(batch) queries.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -31,7 +32,7 @@ import numpy as np
 from ..analysis.serialize import weighted_checksum
 from ..lis.semilocal import validate_intervals
 from ..streaming.recompose import extend_value_matrix
-from .cache import IndexCache
+from .cache import IndexCache, cache_counters
 from .index import (
     INDEX_KINDS,
     SemiLocalIndex,
@@ -41,30 +42,31 @@ from .index import (
     lis_index_fingerprint,
 )
 from .requests import OPS, QueryRequest, ServiceRequestError, TargetSpec
-from ..obs.metrics import get_registry
+from ..obs.metrics import MetricsRegistry, merge_snapshots, snapshot_timing, snapshot_value
 from ..obs.trace import span
 from ..resilience.faults import fault_point
 
-__all__ = ["RequestOutcome", "ServiceBatchResult", "QueryService"]
+__all__ = ["RequestOutcome", "ServiceBatchResult", "QueryService", "service_counters"]
 
-_REQUESTS = get_registry().counter(
-    "repro_service_requests_total", "Requests answered by QueryService.submit"
-)
-_BATCHES = get_registry().counter(
-    "repro_service_batches_total", "Batches answered by QueryService.submit"
-)
-_QUERIES = get_registry().counter(
-    "repro_service_queries_total", "Interval evaluations run by the vectorised pass"
-)
-_BUILDS = get_registry().counter(
-    "repro_index_builds_total", "Index builds by kind (cache misses that built)", ("kind",)
-)
-_BUILD_SECONDS = get_registry().histogram(
-    "repro_index_build_seconds", "Wall-clock of index builds"
-)
-_QUERY_SECONDS = get_registry().histogram(
-    "repro_query_pass_seconds", "Wall-clock of vectorised query passes"
-)
+
+def service_counters(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """The service and cache counts in one service's snapshot or a fleet's merge."""
+    count = functools.partial(snapshot_value, snapshot)
+
+    def seconds(name: str) -> float:
+        return snapshot_timing(snapshot, name)["total_seconds"]
+
+    return {
+        "batches_served": count("repro_service_batches_total"),
+        "requests_served": count("repro_service_requests_total"),
+        "queries_evaluated": count("repro_service_queries_total"),
+        "indexes_built": count("repro_index_builds_total"),
+        "indexes_refreshed": count("repro_index_refreshes_total"),
+        "build_seconds": seconds("repro_index_build_seconds"),
+        "query_seconds": seconds("repro_query_pass_seconds"),
+        "refresh_seconds": seconds("repro_index_refresh_seconds"),
+        "cache": cache_counters(snapshot),
+    }
 
 
 @dataclass
@@ -136,6 +138,9 @@ class QueryService:
         parameter and the execution backend (``serial``/``thread``/
         ``process``).  Backends change build wall-clock only — the built
         index, and therefore every answer, is bit-identical across them.
+
+    Counts and timings live in :attr:`metrics` (the cache keeps its own);
+    :meth:`stats` is a view over both.
     """
 
     def __init__(
@@ -156,14 +161,28 @@ class QueryService:
         #: determines the input content, so warm submits skip both the O(n)
         #: target realisation and the SHA-256 over its bytes.
         self._fingerprints: Dict[Tuple[TargetSpec, str, bool], str] = {}
-        self.requests_served = 0
-        self.batches_served = 0
-        self.queries_evaluated = 0
-        self.indexes_built = 0
-        self.indexes_refreshed = 0
-        self.build_seconds = 0.0
-        self.query_seconds = 0.0
-        self.refresh_seconds = 0.0
+        self.metrics = MetricsRegistry()
+        counter, histogram = self.metrics.counter, self.metrics.histogram
+        self._requests = counter(
+            "repro_service_requests_total", "Requests answered by QueryService.submit"
+        )
+        self._batches = counter(
+            "repro_service_batches_total", "Batches answered by QueryService.submit"
+        )
+        self._queries = counter(
+            "repro_service_queries_total", "Interval evaluations run by the vectorised pass"
+        )
+        self._builds = counter(
+            "repro_index_builds_total", "Index builds by kind (cache misses that built)", ("kind",)
+        )
+        self._refreshes = counter("repro_index_refreshes_total", "Index refreshes (in place)")
+        self._build_seconds = histogram("repro_index_build_seconds", "Wall-clock of index builds")
+        self._refresh_seconds = histogram(
+            "repro_index_refresh_seconds", "Wall-clock of index refreshes"
+        )
+        self._query_seconds = histogram(
+            "repro_query_pass_seconds", "Wall-clock of vectorised query passes"
+        )
 
     # ------------------------------------------------------------------ index
     def _build_index(
@@ -205,11 +224,8 @@ class QueryService:
 
         index, was_cached = self.cache.get_or_build(fingerprint, _traced_build)
         if not was_cached:
-            self.indexes_built += 1
-            seconds = float(index.provenance.get("build_seconds", 0.0))
-            self.build_seconds += seconds
-            _BUILDS.inc(kind=kind)
-            _BUILD_SECONDS.observe(seconds)
+            self._builds.inc(kind=kind)
+            self._build_seconds.observe(float(index.provenance.get("build_seconds", 0.0)))
         return index, was_cached
 
     def ensure_index(
@@ -277,8 +293,8 @@ class QueryService:
             },
         )
         self.cache.put(refreshed)
-        self.indexes_refreshed += 1
-        self.refresh_seconds += seconds
+        self._refreshes.inc()
+        self._refresh_seconds.observe(seconds)
         return refreshed, was_cached
 
     # -------------------------------------------------------------- intervals
@@ -326,7 +342,6 @@ class QueryService:
         """
         requests = list(requests)
         started = time.perf_counter()
-        queries_before = self.queries_evaluated
         # Group by required index identity, preserving first-seen order.
         # Refresh requests mutate the cache, so they execute individually (in
         # batch order) rather than joining a query group.
@@ -353,7 +368,7 @@ class QueryService:
             )
             built += 0 if was_cached else 1
             reused += 1 if was_cached else 0
-            self.queries_evaluated += 1
+            self._queries.inc()
             outcomes[position] = RequestOutcome(
                 request_id=request.request_id,
                 op=request.op,
@@ -380,9 +395,8 @@ class QueryService:
                 else:
                     answers = index.query_substrings(lo_cat, hi_cat)
             group_seconds = time.perf_counter() - query_started
-            self.query_seconds += group_seconds
-            self.queries_evaluated += int(lo_cat.size)
-            _QUERY_SECONDS.observe(group_seconds)
+            self._queries.inc(int(lo_cat.size))
+            self._query_seconds.observe(group_seconds)
 
             offset = 0
             for pos, request, lo, _, scalar in flat:
@@ -401,11 +415,8 @@ class QueryService:
                     seconds=group_seconds * (count / max(1, lo_cat.size)),
                 )
 
-        self.requests_served += len(requests)
-        self.batches_served += 1
-        _REQUESTS.inc(len(requests))
-        _BATCHES.inc()
-        _QUERIES.inc(self.queries_evaluated - queries_before)
+        self._requests.inc(len(requests))
+        self._batches.inc()
         return ServiceBatchResult(
             outcomes=[outcome for outcome in outcomes if outcome is not None],
             seconds=time.perf_counter() - started,
@@ -414,19 +425,17 @@ class QueryService:
         )
 
     # ------------------------------------------------------------------ stats
+    def metric_snapshots(self) -> List[Dict[str, Any]]:
+        """This service's registry and its cache's (merged into ``/metrics``)."""
+        return [self.metrics.snapshot(), self.cache.metrics.snapshot()]
+
     def stats(self) -> Dict[str, Any]:
         """Cumulative service statistics plus the cache counters (JSON-safe)."""
+        counts = service_counters(merge_snapshots(*self.metric_snapshots()))
+        counts["cache"]["max_bytes"] = int(self.cache.max_bytes)
         return {
             "mode": self.mode,
             "delta": self.delta,
             "backend": self.backend or "serial",
-            "batches_served": self.batches_served,
-            "requests_served": self.requests_served,
-            "queries_evaluated": self.queries_evaluated,
-            "indexes_built": self.indexes_built,
-            "indexes_refreshed": self.indexes_refreshed,
-            "build_seconds": self.build_seconds,
-            "query_seconds": self.query_seconds,
-            "refresh_seconds": self.refresh_seconds,
-            "cache": self.cache.counters(),
+            **counts,
         }

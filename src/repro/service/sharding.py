@@ -43,12 +43,14 @@ builds inside a worker automatically run their execution backend inline,
 so shard workers never spawn nested pools.
 
 Observability: every router count and timing lives in the router's own
-:class:`~repro.obs.metrics.MetricsRegistry` (``router.metrics``).
-:meth:`ShardRouter.stats` is a view over it plus the per-shard
-service/cache stats — requests routed per shard, load imbalance
-(max/mean), worker restarts and hangs, bounded retries, degraded requests,
-and the queue-wait vs shard-execution timing split that makes imbalance
-diagnosable from ``/stats`` alone.
+:class:`~repro.obs.metrics.MetricsRegistry` (``router.metrics``), every
+shard's counts in its service and cache registries, which process shards,
+inline shards and the degraded fallback all answer one ``metrics`` command
+with.  ``/metrics`` and :meth:`ShardRouter.stats` read those snapshots —
+requests routed per shard, load imbalance (max/mean), worker restarts and
+hangs, bounded retries, degraded requests, and the queue-wait vs
+shard-execution timing split that makes imbalance diagnosable from
+``/stats`` alone.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from ..mpc.engine import fork_context, in_daemonic_process
 from ..obs.metrics import (
     MetricsRegistry,
     get_registry,
+    merge_snapshots,
     relabel_snapshot,
     snapshot_timing,
     snapshot_value,
@@ -80,7 +83,7 @@ from ..resilience.faults import FaultPlan, active_plan, fault_point, install_pla
 from .cache import DEFAULT_CACHE_BYTES, IndexCache
 from .index import INDEX_KINDS, lcs_index_fingerprint, lis_index_fingerprint
 from .requests import OPS, QueryRequest, ServiceRequestError, TargetSpec
-from .serving import QueryService, ServiceBatchResult
+from .serving import QueryService, ServiceBatchResult, service_counters
 
 __all__ = [
     "ConsistentHashRing",
@@ -264,17 +267,9 @@ def _execute_command(
             warmed += 1
             already += 1 if was_cached else 0
         return {"prefetched": warmed, "already_cached": already}
-    if cmd == "stats":
-        doc = service.stats()
-        doc["shard"] = shard_id
-        doc["pid"] = os.getpid()
-        doc["spill_dir"] = spill_dir
-        return doc
     if cmd == "metrics":
-        # The worker process's whole registry snapshot (plain picklable
-        # dicts); the router stamps it with a shard label and merges it into
-        # the /metrics exposition.
-        return get_registry().snapshot()
+        # One picklable snapshot that feeds both /metrics and /stats.
+        return merge_snapshots(*service.metric_snapshots())
     raise RuntimeError(f"unknown shard worker command {cmd!r}")
 
 
@@ -312,6 +307,9 @@ def _shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
                 # / unresponsive worker) and exercise the recovery paths.
                 fault_point("worker.dispatch", shard=shard_id, cmd=cmd)
                 result = _execute_command(service, shard_id, spill_dir, cmd, payload)
+                if cmd == "metrics":
+                    # Kernel and fault counts; an inline shard's are the server's.
+                    result = merge_snapshots(result, get_registry().snapshot())
                 conn.send(("ok", result))
             except ServiceRequestError as exc:
                 conn.send(("error", ("request", str(exc))))
@@ -335,6 +333,8 @@ class _WorkerBase:
         #: command per worker; the router's timing split measures the wait).
         self.lock = threading.Lock()
         self.spill_dir: Optional[str] = None
+        #: The process serving this shard.
+        self.pid = os.getpid()
 
     def call(
         self,
@@ -384,6 +384,7 @@ class _ProcessWorker(_WorkerBase):
         process.start()
         child.close()
         self.process = process
+        self.pid = process.pid
         self.conn = parent
         self._stale = 0
         # The worker derives its spill subdir from its own pid; mirror the
@@ -568,8 +569,10 @@ class ShardRouter:
     ``concurrency`` attribute the HTTP front-end uses to size its executor.
     Answers are bit-identical to a single-process service; only wall-clock
     and cache placement change.  Every router count and timing is recorded
-    in :attr:`metrics`, a private registry that :meth:`stats` reads and
-    :meth:`extra_metric_snapshots` hands to the server's ``/metrics``.
+    in :attr:`metrics`, a private registry; every shard's service and cache
+    counts stay in that shard's registries.  :meth:`metric_snapshots` hands
+    them all to the server's ``/metrics`` and :meth:`stats` reads the same
+    snapshots through the same view function, so the two cannot drift.
     Each shard has a default :class:`~repro.resilience.breaker.CircuitBreaker`
     and :data:`DEFAULT_RING_REPLICAS` virtual nodes on the ring.
 
@@ -1066,23 +1069,36 @@ class ShardRouter:
         }
 
     # --------------------------------------------------------------- metrics
-    def extra_metric_snapshots(self) -> List[Dict[str, Any]]:
-        """The router's registry, then shard-stamped worker-process snapshots.
+    def _poll_shards(self) -> List[Tuple[str, Any]]:
+        """``(shard label, snapshot or error)`` per shard, then the fallback's.
 
-        Inline workers record into this process's global registry — their
-        counts are already in the server's snapshot — so only process
-        workers are polled; a worker that cannot answer is skipped rather
-        than failing the scrape.
+        Every shard answers the one ``metrics`` command, whatever serves it:
+        a worker process, an inline shard, or (labelled ``"fallback"``, once
+        a breaker has opened) the degraded fallback.
         """
-        snapshots: List[Dict[str, Any]] = [self.metrics.snapshot()]
+        polled: List[Tuple[str, Any]] = []
         for worker in self._workers:
-            if worker.kind != "process":
-                continue
             try:
                 snap = self._call(worker.shard_id, "metrics", None)
-            except (RuntimeError, ShardWorkerCrash, ServiceRequestError):
-                continue
-            snapshots.append(relabel_snapshot(snap, {"shard": str(worker.shard_id)}))
+            except RuntimeError as exc:
+                snap = exc
+            polled.append((str(worker.shard_id), snap))
+        with self._fallback_lock:
+            if self._fallback is not None:
+                polled.append(("fallback", self._fallback.call("metrics", None)))
+        return polled
+
+    def metric_snapshots(self) -> List[Dict[str, Any]]:
+        """The router's registry, then one shard-stamped snapshot per shard.
+
+        The router's registry is read before the polls, which can restart a
+        worker and count it there.  A shard that cannot answer is skipped
+        rather than failing the scrape.
+        """
+        snapshots: List[Dict[str, Any]] = [self.metrics.snapshot()]
+        for shard, snap in self._poll_shards():
+            if not isinstance(snap, Exception):
+                snapshots.append(relabel_snapshot(snap, {"shard": shard}))
         return snapshots
 
     # ----------------------------------------------------------------- stats
@@ -1090,65 +1106,45 @@ class ShardRouter:
         """Router + per-shard statistics (JSON-safe; surfaces in ``/stats``).
 
         Includes the top-level keys the single-process service stats carry
-        (``mode``/``delta``/``backend``/``cache``), with the cache counters
-        *aggregated* across shards, so artifact writers and dashboards read
-        one shape regardless of sharding.  Router counts and timings are a
-        view over :attr:`metrics`.
+        (``mode``/``delta``/``backend``/``cache``), so artifact writers and
+        dashboards read one shape regardless of sharding.  Per-shard docs
+        and the fleet totals (degraded fallback included) are
+        :func:`~repro.service.serving.service_counters` over the polled
+        shard snapshots; router counts and timings are a view over
+        :attr:`metrics`.
         """
-        per_shard: List[Dict[str, Any]] = []
-        for worker in self._workers:
-            try:
-                doc = self._call(worker.shard_id, "stats", None)
-            except (RuntimeError, ShardWorkerCrash) as exc:
-                doc = {"shard": worker.shard_id, "error": str(exc)}
-            doc["worker"] = worker.kind
-            per_shard.append(doc)
-        # Read after the stats polls, which can restart a dead worker.
+        polled = self._poll_shards()
+        # Read after the polls, which can restart a dead worker.
         snapshot = self.metrics.snapshot()
         count = functools.partial(snapshot_value, snapshot)
-        for shard, doc in enumerate(per_shard):
+        per_shard: List[Dict[str, Any]] = []
+        for worker, (shard, snap) in zip(self._workers, polled):
+            doc: Dict[str, Any] = {
+                "shard": worker.shard_id,
+                "worker": worker.kind,
+                "pid": worker.pid,
+                "spill_dir": worker.spill_dir,
+            }
+            if isinstance(snap, Exception):
+                doc["error"] = str(snap)
+            else:
+                doc.update(service_counters(snap))
+                doc["cache"]["max_bytes"] = int(self.config.cache_bytes)
             doc["requests_routed"] = count("repro_shard_requests_total", shard=shard)
             doc["sub_batches"] = count("repro_shard_sub_batches_total", shard=shard)
             doc["restarts"] = count("repro_shard_restarts_total", shard=shard)
+            per_shard.append(doc)
 
         routed = [doc["requests_routed"] for doc in per_shard]
         total_routed = sum(routed)
         mean_routed = total_routed / len(routed) if routed else 0.0
         imbalance = (max(routed) / mean_routed) if mean_routed > 0 else 0.0
 
-        cache_keys = (
-            "entries",
-            "current_bytes",
-            "hits",
-            "misses",
-            "evictions",
-            "spill_saves",
-            "spill_loads",
-            "oversize_spills",
+        totals = service_counters(
+            merge_snapshots(*(snap for _, snap in polled if not isinstance(snap, Exception)))
         )
-        cache: Dict[str, Any] = {key: 0 for key in cache_keys}
-        for doc in per_shard:
-            counters = doc.get("cache") or {}
-            for key in cache_keys:
-                cache[key] += int(counters.get(key, 0))
-        cache["max_bytes"] = int(self.config.cache_bytes) * self.shards
-        cache["per_shard_max_bytes"] = int(self.config.cache_bytes)
-        lookups = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
-
-        # Aggregated single-process-shaped counters, so CLI summaries and
-        # artifact writers read one stats shape regardless of sharding.
-        service_totals: Dict[str, Any] = {
-            "queries_evaluated": 0,
-            "indexes_built": 0,
-            "indexes_refreshed": 0,
-            "build_seconds": 0.0,
-            "query_seconds": 0.0,
-            "refresh_seconds": 0.0,
-        }
-        for doc in per_shard:
-            for key in service_totals:
-                service_totals[key] += doc.get(key, 0)
+        totals["cache"]["max_bytes"] = int(self.config.cache_bytes) * self.shards
+        totals["cache"]["per_shard_max_bytes"] = int(self.config.cache_bytes)
 
         resilience: Dict[str, Any] = {
             "worker_timeout_seconds": self.worker_timeout,
@@ -1172,9 +1168,10 @@ class ShardRouter:
             "mode": self.config.mode,
             "delta": self.config.delta,
             "backend": self.config.backend or "serial",
+            **totals,
+            # The router's own counts: routed requests include degraded ones.
             "batches_served": count("repro_router_batches_total"),
             "requests_served": total_routed,
-            **service_totals,
             "restarts": count("repro_shard_restarts_total"),
             "retries": count("repro_shard_retries_total"),
             "load": {
@@ -1187,6 +1184,5 @@ class ShardRouter:
                 "shard_exec": snapshot_timing(snapshot, "repro_shard_exec_seconds"),
             },
             "resilience": resilience,
-            "cache": cache,
             "per_shard": per_shard,
         }

@@ -32,6 +32,7 @@ from repro.obs.metrics import (
     relabel_snapshot,
     render_prometheus,
 )
+from repro.obs.sampling import TraceSampler
 from repro.obs.trace import Tracer, current_trace_id, span
 
 
@@ -220,6 +221,7 @@ class TestTracing:
             "capacity": 2,
             "sampled_total": 5,
             "dropped_total": 0,
+            "sampler": TraceSampler().config(),
         }
 
 
@@ -340,9 +342,100 @@ class TestServerObservability:
 
         status, _, stats = get_json(sharded_server.url + "/stats")
         assert status == 200
-        assert stats["stats_schema"] == "repro.server.stats.v5"
-        assert stats["version"] == 5
+        assert stats["stats_schema"] == "repro.server.stats.v6"
+        assert stats["version"] == 6
         assert "plan" not in stats["service"]
+
+
+# ------------------------------------------- /stats and /metrics: one store
+_FOUR_TARGETS = {
+    "requests": [
+        {"op": "lis_length", "id": f"q{i}", "workload": "random", "n": 160 + 16 * i, "seed": i}
+        for i in range(4)
+    ]
+}
+
+
+def _service_counts(url):
+    """``(/stats service counts, the matching /metrics sums)`` of one server."""
+    from repro.server import get_json
+
+    _, _, stats = get_json(url + "/stats")
+    _, _, text = _get_text(url + "/metrics")
+    parsed = parse_prometheus_text(text)
+
+    def total(name, **labels):
+        want = set(labels.items())
+        return sum(v for key, v in parsed.get(name, {}).items() if want <= set(key))
+
+    service = stats["service"]
+    from_stats = {
+        "hits": service["cache"]["hits"],
+        "misses": service["cache"]["misses"],
+        "queries_evaluated": service["queries_evaluated"],
+        "indexes_built": service["indexes_built"],
+    }
+    from_metrics = {
+        "hits": total("repro_cache_lookups_total", result="hit"),
+        "misses": total("repro_cache_lookups_total", result="miss"),
+        "queries_evaluated": total("repro_service_queries_total"),
+        "indexes_built": total("repro_index_builds_total"),
+    }
+    return from_stats, from_metrics
+
+
+class TestOneStore:
+    def test_two_servers_in_one_process_keep_their_counts_apart(self):
+        from repro.server import post_json, start_server
+        from repro.service import QueryService
+
+        first = start_server(QueryService())
+        second = start_server(QueryService())
+        try:
+            for _ in range(2):
+                status, _, body = post_json(first.url + "/v2/batch", _FOUR_TARGETS)
+                assert status == 200 and body["errors"] == 0
+            from_stats, from_metrics = _service_counts(first.url)
+            assert from_stats == from_metrics == {
+                "hits": 4, "misses": 4, "queries_evaluated": 8, "indexes_built": 4,
+            }
+            from_stats, from_metrics = _service_counts(second.url)
+            assert from_stats == from_metrics == dict.fromkeys(from_stats, 0)
+        finally:
+            first.stop()
+            second.stop()
+
+    @pytest.mark.parametrize("force_serial", [False, True], ids=["process", "inline"])
+    def test_router_stats_match_metrics_through_degraded_serving(self, force_serial):
+        from repro.server import post_json, start_server
+        from repro.service import ShardRouter
+
+        router = ShardRouter(2, force_serial=force_serial)
+        if not force_serial and router.serial_fallback:
+            router.close()
+            pytest.skip("no process workers in this environment")
+        handle = start_server(router)
+        try:
+            status, _, clean = post_json(handle.url + "/v2/batch", _FOUR_TARGETS)
+            assert status == 200 and clean["errors"] == 0
+            from_stats, from_metrics = _service_counts(handle.url)
+            assert from_stats == from_metrics
+            assert from_stats["misses"] == 4
+
+            for breaker in router._breakers:
+                breaker.trip()
+            status, _, degraded = post_json(handle.url + "/v2/batch", _FOUR_TARGETS)
+            assert status == 200 and degraded["errors"] == 0
+            assert all(entry["degraded"] for entry in degraded["results"])
+            assert [e["result"] for e in degraded["results"]] == [
+                e["result"] for e in clean["results"]
+            ]
+            # The fallback's fresh cache misses again; both surfaces see it.
+            from_stats, from_metrics = _service_counts(handle.url)
+            assert from_stats == from_metrics
+            assert from_stats["misses"] == 8 and from_stats["queries_evaluated"] == 8
+        finally:
+            handle.stop()
 
 
 # --------------------------------------------------------------- reporting

@@ -216,18 +216,23 @@ class TestCircuitBreaker:
 
     def test_transition_counters(self):
         clock = FakeClock()
-        breaker = self._breaker(clock)
+        seen = []
+        breaker = CircuitBreaker(
+            BreakerConfig(cooldown_seconds=10.0),
+            name="t",
+            clock=clock,
+            on_transition=lambda *transition: seen.append(transition),
+        )
         breaker.trip()
         clock.advance(10.0)
         breaker.allow()
         breaker.record_success()
-        stats = breaker.stats()
-        assert stats["transitions"] == {
-            "closed->open": 1,
-            "open->half_open": 1,
-            "half_open->closed": 1,
-        }
-        assert stats["opened_total"] == 1
+        # The router counts these into repro_breaker_transitions_total.
+        assert seen == [
+            ("t", "closed", "open"),
+            ("t", "open", "half_open"),
+            ("t", "half_open", "closed"),
+        ]
 
     def test_state_codes_cover_every_state(self):
         assert BREAKER_STATE_CODES == {"closed": 0, "half_open": 1, "open": 2}
@@ -758,6 +763,10 @@ class TestChaosEndToEnd:
             [
                 FaultRule("worker.dispatch", "hang", hits=[3], delay_ms=30000),
                 FaultRule("worker.dispatch", "crash", hits=[6]),
+                # Fires in every worker incarnation, so a live worker always
+                # carries a fire count when /metrics is scraped (a killed
+                # worker's counts die with it).
+                FaultRule("worker.dispatch", "delay", hits=[1], delay_ms=10),
                 FaultRule("cache.spill_load", "corrupt", probability=0.5),
             ],
             seed=42,
@@ -827,11 +836,13 @@ class TestChaosEndToEnd:
                 text = resp.read().decode()
             assert "repro_breaker_state" in text
             # Worker-side fire counts reach the merged exposition through
-            # the per-shard registry snapshots.
+            # the per-shard registry snapshots.  Only shard-labelled samples
+            # count: the unlabelled series is this test process's own.
             fired = sum(
                 float(line.rsplit(None, 1)[1])
                 for line in text.splitlines()
                 if line.startswith("repro_faults_injected_total{")
+                and 'shard="' in line
             )
             assert fired >= 1.0
             # The per-shard hang series reaches /metrics with the total
