@@ -65,6 +65,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
@@ -726,14 +727,17 @@ def _cmd_serve_http(args, out) -> int:
     shard_note = (
         f", shards={service.shards}" if isinstance(service, ShardRouter) else ""
     )
-    print(
-        f"listening on {handle.url} "
-        f"(max_inflight={handle.core.max_inflight}{shard_note})",
-        file=out,
-        flush=True,
-    )
+    # Bash starts the background jobs of a non-interactive script with
+    # SIGINT ignored; restore Python's handler so `kill -INT` stops us.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     served_started = time.perf_counter()
     try:
+        print(
+            f"listening on {handle.url} "
+            f"(max_inflight={handle.core.max_inflight}{shard_note})",
+            file=out,
+            flush=True,
+        )
         if args.duration is not None:
             time.sleep(max(0.0, float(args.duration)))
         else:

@@ -1,7 +1,7 @@
 """Shared machinery for the MPC (sub)unit-Monge multiplication algorithms.
 
-The heart of this module is :class:`SubgridInstance`, the object built for
-every *active* subgrid in Section 3.3 of the paper.  An instance contains only
+The heart of this module is :class:`SubgridInstance`, the per-machine data of
+one *active* subgrid in Section 3.3 of the paper.  An instance contains only
 information that fits on one machine:
 
 * the colored union points inside the subgrid's row band and column band
@@ -13,6 +13,12 @@ information that fits on one machine:
 and it can evaluate ``F_q`` / ``PΣ_C`` at any corner inside the subgrid using
 only that local data, which is what lets one machine finish the subgrid by
 itself in a single round.
+
+The simulator's combine (``constant_round.mpc_combine``) charges every
+active subgrid one machine of :func:`instance_words` words, but solves all
+of them in one batched search on the global point set.  The class is thus
+the executable form of the locality claim and the test oracle of that
+batched search.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["SubgridInstance", "grid_corners"]
+__all__ = ["SubgridInstance", "grid_corners", "instance_words"]
 
 
 def grid_corners(n: int, grid_size: int) -> np.ndarray:
@@ -32,6 +38,15 @@ def grid_corners(n: int, grid_size: int) -> np.ndarray:
     if corners[-1] != n:
         corners = np.append(corners, n)
     return corners
+
+
+def instance_words(band_points, num_colors: int):
+    """Words one machine holds for a subgrid instance (scalar or array).
+
+    Three words (row, column, color) per point of the row and column bands,
+    plus the three per-color corner offsets and a constant header.
+    """
+    return 3 * band_points + 3 * num_colors + 8
 
 
 @dataclass
@@ -66,9 +81,7 @@ class SubgridInstance:
     def size_words(self) -> int:
         """Number of words a machine must hold to process this instance."""
         return int(
-            3 * (len(self.band_row_rows) + len(self.band_col_rows))
-            + 3 * self.num_colors
-            + 8
+            instance_words(len(self.band_row_rows) + len(self.band_col_rows), self.num_colors)
         )
 
     # ------------------------------------------------------------ evaluation

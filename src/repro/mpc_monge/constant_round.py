@@ -16,6 +16,9 @@ exactly as in Section 3 of the paper:
    spaced ``G = n^{1-δ}`` apart with the flattened ``H``-ary tree, classify
    the subgrids, and finish every *active* subgrid on a single machine from
    its O(G + H)-sized :class:`~repro.mpc_monge.common.SubgridInstance`.
+   Instances are sized and charged one per machine; the simulator then
+   solves all of them in one batched search (:func:`_solve_subgrids`),
+   which the test-suite checks against ``SubgridInstance.solve``.
 
 Every stage charges rounds, communication and per-machine loads to the
 cluster; the returned permutation is the exact product (validated against the
@@ -41,7 +44,7 @@ from ..core.seaweed import (
 from ..mpc.cluster import MPCCluster, RANK_SEARCH_ROUNDS, SORT_ROUNDS
 from ..mpc.engine import resolve_backend
 from ..mpc.errors import SpaceExceededError
-from .common import SubgridInstance, grid_corners
+from .common import grid_corners, instance_words
 
 __all__ = [
     "MongeMPCConfig",
@@ -241,6 +244,8 @@ def mpc_combine(
     ``rows``/``cols``/``colors`` describe the colored union permutation.  The
     function charges the grid-line and subgrid rounds to ``cluster`` and
     returns the merged sub-permutation together with a diagnostics report.
+    Every active subgrid is sized and charged as its own one-machine
+    instance, and all of them are then solved in one batched pass.
     """
     config = _resolve(config)
     s = cluster.space_per_machine
@@ -287,7 +292,9 @@ def mpc_combine(
     )
 
     # The simulator evaluates opt at the grid corners directly; these values
-    # are exactly what the cmp/interval computation above produces.
+    # are exactly what the cmp/interval computation above produces.  It also
+    # solves the active subgrids below on this global point set: inside a
+    # subgrid, its instance's local evaluation equals the global one.
     corner_i, corner_j = np.meshgrid(grid, grid, indexing="ij")
     opt_corner = point_set.opt(corner_i.ravel(), corner_j.ravel()).reshape(
         num_lines, num_lines
@@ -312,62 +319,25 @@ def mpc_combine(
     in_active = active_mask[row_block, col_block]
     survivor_opt = top_left[row_block, col_block]
     survive = (~in_active) & (colors == survivor_opt)
-    out_rows = [rows[survive]]
-    out_cols = [cols[survive]]
     cluster.charge_round(
         "subgrid:classify", words=3 * n,
         max_load=math.ceil(3 * n / cluster.num_machines), phase=phase,
     )
 
-    # Build one instance per active subgrid and solve it on its own machine.
-    order_by_row = np.argsort(rows, kind="stable")
-    rows_r, cols_r, colors_r = rows[order_by_row], cols[order_by_row], colors[order_by_row]
-    order_by_col = np.argsort(cols, kind="stable")
-    rows_c, cols_c, colors_c = rows[order_by_col], cols[order_by_col], colors[order_by_col]
-
-    unique_r0 = grid[active_i]
-    unique_c0 = grid[active_j]
-    if len(active_i):
-        row_totals = point_set.row_suffix_counts(unique_r0)
-        col_totals = point_set.col_prefix_counts(unique_c0)
-        corner_vals = point_set.dominance_counts(unique_r0, unique_c0)
-    else:
-        row_totals = col_totals = corner_vals = np.zeros((0, H), dtype=np.int64)
-
-    max_instance_words = 0
-    total_instance_words = 0
-    for index in range(len(active_i)):
-        r0, r1 = int(grid[active_i[index]]), int(grid[active_i[index] + 1])
-        c0, c1 = int(grid[active_j[index]]), int(grid[active_j[index] + 1])
-        lo = np.searchsorted(rows_r, r0, side="left")
-        hi = np.searchsorted(rows_r, r1, side="left")
-        clo = np.searchsorted(cols_c, c0, side="left")
-        chi = np.searchsorted(cols_c, c1, side="left")
-        instance = SubgridInstance(
-            r0=r0,
-            r1=r1,
-            c0=c0,
-            c1=c1,
-            num_colors=H,
-            band_row_rows=rows_r[lo:hi],
-            band_row_cols=cols_r[lo:hi],
-            band_row_colors=colors_r[lo:hi],
-            band_col_rows=rows_c[clo:chi],
-            band_col_cols=cols_c[clo:chi],
-            band_col_colors=colors_c[clo:chi],
-            row_total_at_r0=row_totals[index],
-            col_total_at_c0=col_totals[index],
-            corner_value=corner_vals[index],
-        )
-        words = instance.size_words
-        max_instance_words = max(max_instance_words, words)
-        total_instance_words += words
-        cluster.stats.record_load(words)
-        if words > s and cluster.strict_space:
-            raise SpaceExceededError(-1, words, s, "subgrid instance")
-        found_rows, found_cols = instance.solve()
-        out_rows.append(found_rows)
-        out_cols.append(found_cols)
+    # One instance per active subgrid, each on its own machine: the points of
+    # its row band and its column band plus O(H) corner offsets.
+    row_band = np.diff(np.searchsorted(np.sort(rows), grid))
+    col_band = np.diff(np.searchsorted(np.sort(cols), grid))
+    words = instance_words(row_band[active_i] + col_band[active_j], H)
+    for load in words.tolist():
+        cluster.stats.record_load(load)
+        if load > s and cluster.strict_space:
+            raise SpaceExceededError(-1, load, s, "subgrid instance")
+    max_instance_words = int(words.max(initial=0))
+    total_instance_words = int(words.sum())
+    found_rows, found_cols = _solve_subgrids(
+        point_set, grid[active_i], grid[active_i + 1], grid[active_j], grid[active_j + 1]
+    )
 
     # Rounds of the §3.3 stage: instance sizing + greedy packing, instance
     # population, and reporting the discovered points.
@@ -382,8 +352,8 @@ def mpc_combine(
         "subgrid:report", words=n, max_load=max(max_instance_words, 1), phase=phase
     )
 
-    all_rows = np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
-    all_cols = np.concatenate(out_cols) if out_cols else np.empty(0, dtype=np.int64)
+    all_rows = np.concatenate([rows[survive], found_rows])
+    all_cols = np.concatenate([cols[survive], found_cols])
     merged = SubPermutation.from_points(all_rows, all_cols, n, n, validate=True)
     report = _CombineReport(
         num_colors=H,
@@ -394,3 +364,48 @@ def mpc_combine(
         max_instance_words=max_instance_words,
     )
     return merged, report
+
+
+def _solve_subgrids(
+    point_set: ColoredPointSet,
+    r0: np.ndarray,
+    r1: np.ndarray,
+    c0: np.ndarray,
+    c1: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The product's points inside the subgrids ``[r0, r1) × [c0, c1)``.
+
+    ``SubgridInstance.solve`` for every subgrid at once: each row of each
+    row band is one window ``(row, c0, c1)``.  A row keeps its window if
+    ``PΣ_C(row, ·) − PΣ_C(row + 1, ·)`` is 0 at ``c0`` and at least 1 at
+    ``c1``; one vectorised binary search then halves every kept window to
+    the column of the row's point.  Returns ``(rows, cols)``.
+    """
+    heights = r1 - r0
+    owner = np.repeat(np.arange(len(heights)), heights)
+    first = np.repeat(np.cumsum(heights) - heights, heights)
+    rows = r0[owner] + (np.arange(len(owner)) - first)
+    lo, hi = c0[owner], c1[owner]
+
+    def step(columns: np.ndarray, at_rows: np.ndarray) -> np.ndarray:
+        # PΣ_C(r, c) − PΣ_C(r + 1, c) is 1 iff row r's point lies left of c.
+        sig = point_set.sigma(np.concatenate([at_rows, at_rows + 1]), np.tile(columns, 2))
+        return sig[: len(at_rows)] - sig[len(at_rows) :]
+
+    # A row keeps the window that holds its point.  A row can have several
+    # windows, so they are tested n // 2 at a time: no corner batch exceeds
+    # the 2n corners of one search step below, whose rows have one window.
+    inside = np.zeros(len(rows), dtype=bool)
+    per_pass = max(1, point_set.n_rows // 2)
+    for start in range(0, len(rows), per_pass):
+        part = slice(start, start + per_pass)
+        ends = step(np.concatenate([lo[part], hi[part]]), np.tile(rows[part], 2))
+        half = len(ends) // 2
+        inside[part] = (ends[:half] == 0) & (ends[half:] >= 1)
+    rows, lo, hi = rows[inside], lo[inside], hi[inside]
+    while np.any(lo + 1 < hi):
+        mid = (lo + hi) // 2
+        take_hi = step(mid, rows) >= 1
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+    return rows, hi - 1

@@ -13,6 +13,8 @@ reference  the retained recursive oracle at the headline size, asserted
 semilocal  a from-scratch ``value_interval_matrix`` build (Theorem 1.3)
 streaming  the amortised sliding-window tick of the PR-4 aggregator
 service    a warm cached query batch through the PR-3 serving layer
+mpc        one Theorem 1.3 LIS solve on the MPC simulator (δ = 0.5, serial
+           backend), asserted equal to patience sorting
 ========== =============================================================
 
 Wall-clock is useless across machines, so every timing is also recorded
@@ -40,7 +42,10 @@ from ..core.seaweed import multiply_permutations_iterative, multiply_permutation
 from ..experiments.runner import ExperimentResult
 from ..experiments.spec import ExperimentSpec, PointResult
 from ..experiments.artifacts import result_to_artifact
+from ..lis.mpc_lis import mpc_lis_length
+from ..lis.patience import lis_length
 from ..lis.semilocal import value_interval_matrix
+from ..mpc.cluster import MPCCluster
 from ..service import IndexCache, QueryRequest, QueryService, TargetSpec
 from ..streaming import StreamingLIS
 from ..workloads import make_sequence
@@ -179,6 +184,21 @@ def _make_service(n: int, batch: int) -> Callable[[], Callable[[], Any]]:
     return factory
 
 
+def _make_mpc_lis(n: int) -> Callable[[], Callable[[], Any]]:
+    def factory() -> Callable[[], Any]:
+        sequence = make_sequence("random", n, seed=_SEED)
+        expected = lis_length(sequence)
+
+        def kernel():
+            length = mpc_lis_length(MPCCluster(n, delta=0.5, backend="serial"), sequence)
+            assert length == expected, "MPC LIS disagrees with patience sorting"
+            return length
+
+        return kernel
+
+    return factory
+
+
 def perf_cases() -> List[PerfCase]:
     """The registered case grid (full runs take all, quick runs the subset)."""
     cases: List[PerfCase] = []
@@ -242,6 +262,15 @@ def perf_cases() -> List[PerfCase]:
                 make=_make_service(n, batch),
             )
         )
+    cases.append(
+        PerfCase(
+            name="mpc_lis_n512",
+            group="mpc",
+            params={"n": 512, "delta": 0.5},
+            quick=True,
+            make=_make_mpc_lis(512),
+        )
+    )
     return cases
 
 

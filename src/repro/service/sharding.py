@@ -806,8 +806,11 @@ class ShardRouter:
         ``retry_limit`` times (a private worker behind ``worker.lock`` has
         no other callers to back off for).  When ``breaker`` is given, every
         attempt's outcome feeds the shard's circuit breaker, which turns a
-        crash loop into degraded serving.
+        crash loop into degraded serving.  A closed router refuses the call
+        before it takes the lock, so it never respawns a stopped worker.
         """
+        if self.closed:
+            raise RuntimeError("ShardRouter is closed")
         worker = self._workers[shard_id]
         deadline = current_deadline()
         waited_from = time.perf_counter()

@@ -26,7 +26,7 @@ class TestCaseGrid:
         quick = [case for case in cases if case.quick]
         assert quick and len(quick) < len(cases)
         groups = {case.group for case in cases}
-        assert {"multiply", "reference", "semilocal", "streaming", "service"} <= groups
+        assert {"multiply", "reference", "semilocal", "streaming", "service", "mpc"} <= groups
         # The full grid covers the issue's size range and both fan-ins.
         multiply_sizes = {case.params["n"] for case in cases if case.group == "multiply"}
         assert {256, 4096, 16384} <= multiply_sizes

@@ -860,3 +860,28 @@ class TestServeHttpCLI:
             if process.poll() is None:
                 process.kill()
                 process.communicate()
+
+    def test_sigint_stops_server_started_with_sigint_ignored(self):
+        # A non-interactive shell starts its background jobs this way.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve-http", "--port", "0", "--duration", "60"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            line = process.stdout.readline()
+            assert "listening on" in line, line
+            process.send_signal(signal.SIGINT)
+            stdout, stderr = process.communicate(timeout=10)
+            assert process.returncode == 0, stderr
+            assert "served 0/0 requests" in stdout
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()

@@ -193,6 +193,19 @@ class TestWorkerCrashRecovery:
         finally:
             router.close()
 
+    def test_closed_router_does_not_respawn_workers(self):
+        router = ShardRouter(2)
+        assert router.stats()["workers"] == "process"
+        processes = [worker.process for worker in router._workers]
+        router.close()
+        # serve-http reads stats after stopping the server: the scrape must
+        # report the closed shards, not restart them.
+        stats = router.stats()
+        assert stats["restarts"] == 0
+        assert all(doc["error"] == "ShardRouter is closed" for doc in stats["per_shard"])
+        assert all(worker.process is None for worker in router._workers)
+        assert not any(process.is_alive() for process in processes)
+
     def test_crash_loop_gives_up_after_retry_limit(self):
         router = ShardRouter(1, retry_limit=1)
         try:
