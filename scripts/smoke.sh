@@ -21,13 +21,12 @@
 # structured error, non-degraded answers bit-identical to a serial oracle,
 # hang/restart/fault counters on /stats, worker-side fault fires merged
 # into /metrics, and a 1 ms X-Repro-Deadline-Ms probe answering a
-# structured 504), the
-# quick service_latency load-generator spec, the quick shard_scaling spec
+# structured 504), the quick shard_scaling spec
 # (cross-shard-count answer checksum identity), a streaming cold/warm cycle
 # (sliding-window session -> artifact validate), a quick perf pass gated
 # against the recorded results/perf_core.json baseline (cpu-normalised
 # regression check + the >= speedup floor) with a trend row appended and
-# validated, the repro report renderer (ASCII tables + capacity planning +
+# validated, the repro report renderer (ASCII tables + the trend table +
 # the --slo burn-rate summary, zero third-party deps), and schema
 # validation of every artifact — the freshly written ones and everything
 # recorded under results/.  Intended as the CI entry point.
@@ -42,8 +41,7 @@ SERVICE_ARTIFACT="${4:-/tmp/repro-smoke-service-throughput.json}"
 STREAM_ARTIFACT="${5:-/tmp/repro-smoke-stream.json}"
 STREAMING_ARTIFACT="${6:-/tmp/repro-smoke-streaming-throughput.json}"
 PERF_ARTIFACT="${7:-/tmp/repro-smoke-perf.json}"
-LATENCY_ARTIFACT="${8:-/tmp/repro-smoke-service-latency.json}"
-SHARD_ARTIFACT="${9:-/tmp/repro-smoke-shard-scaling.json}"
+SHARD_ARTIFACT="${8:-/tmp/repro-smoke-shard-scaling.json}"
 TREND_LOG="${TREND_LOG:-/tmp/repro-smoke-perf-trend.jsonl}"
 SERVE_HTTP_PORT="${SERVE_HTTP_PORT:-8077}"
 SHARD_HTTP_PORT="${SHARD_HTTP_PORT:-8078}"
@@ -561,9 +559,6 @@ kill -INT "${SERVER_PID}"
 wait "${SERVER_PID}"
 SERVER_PID=""
 
-echo
-echo "== quick service_latency load-generator run -> ${LATENCY_ARTIFACT} =="
-python -m repro run service_latency --quick --json "${LATENCY_ARTIFACT}"
 
 echo
 echo "== quick shard_scaling run (answers shard-invariant) -> ${SHARD_ARTIFACT} =="
@@ -604,9 +599,8 @@ else:
 EOF
 
 echo
-echo "== repro report: recorded artifacts + trend + capacity + SLO (ASCII only) =="
-python -m repro report --trend --capacity 500 --slo > /tmp/repro-smoke-report.txt
-grep -q "capacity plan for 500" /tmp/repro-smoke-report.txt
+echo "== repro report: recorded artifacts + trend + SLO (ASCII only) =="
+python -m repro report --trend --slo > /tmp/repro-smoke-report.txt
 grep -q "perf trend" /tmp/repro-smoke-report.txt
 grep -q "SLO burn-rate summary" /tmp/repro-smoke-report.txt
 python -m repro report --slo "${SLO_ARTIFACT}" > /tmp/repro-smoke-slo-report.txt
@@ -622,7 +616,6 @@ python -m repro validate "${SERVE_ARTIFACT}"
 python -m repro validate "${STREAMING_ARTIFACT}"
 python -m repro validate "${STREAM_ARTIFACT}"
 python -m repro validate "${PERF_ARTIFACT}"
-python -m repro validate "${LATENCY_ARTIFACT}"
 python -m repro validate "${SHARD_ARTIFACT}"
 python -m repro validate "${SLO_ARTIFACT}"
 for recorded in results/*.json; do

@@ -29,11 +29,10 @@ Subcommands
     the iterative-vs-reference multiply speedup falls below the floor).
 ``report``
     Render every recorded artifact in ``results/`` (or an explicit list) as
-    ASCII scaling curves, latency tables and cache hit-rate summaries
+    ASCII scaling curves and cache hit-rate summaries
     (:mod:`repro.obs.report`); ``--trend`` adds the perf-over-commits trend
-    table from ``results/perf_trend.jsonl``, ``--capacity QPS`` answers
-    "how many shards/workers do I need for QPS requests/second", and
-    ``--slo`` adds the burn-rate summary of recorded SLO evaluations.
+    table from ``results/perf_trend.jsonl``, and ``--slo`` adds the
+    burn-rate summary of recorded SLO evaluations.
 ``validate <path>``
     Check an artifact file against the schema (exit 1 on failure).
 
@@ -56,7 +55,7 @@ Examples
     $ python -m repro perf --quick
     $ python -m repro perf --quick --record-trend
     $ python -m repro report
-    $ python -m repro report results/shard_scaling.json --capacity 500
+    $ python -m repro report results/shard_scaling.json --trend
     $ python -m repro validate results/table1.json
 """
 
@@ -467,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_parser = sub.add_parser(
         "report",
-        help="render recorded artifacts as ASCII curves/tables (+ trend & capacity)",
+        help="render recorded artifacts as ASCII curves/tables (+ trend & SLO)",
     )
     report_parser.add_argument(
         "paths",
@@ -483,14 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="include the perf-over-commits trend table "
         "(default path: results/perf_trend.jsonl)",
-    )
-    report_parser.add_argument(
-        "--capacity",
-        type=float,
-        default=None,
-        metavar="QPS",
-        help="answer 'how many shards/workers for QPS requests/second' from "
-        "the recorded scaling + latency artifacts",
     )
     report_parser.add_argument(
         "--slo",
@@ -1074,7 +1065,6 @@ def _cmd_report(args, out) -> int:
     text = render_report(
         paths,
         trend_path=args.trend,
-        capacity_qps=args.capacity,
         slo=args.slo,
     )
     print(text, file=out)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from ..lis import (
     value_interval_matrix,
 )
 from ..mpc import MPCCluster, ScalabilityError
-from ..server.loadgen import PERCENTILE_METHOD, percentile_linear
 from ..mpc_monge import MongeMPCConfig, mpc_multiply, mpc_multiply_warmup
 from ..mpc_monge.constant_round import mpc_combine
 from ..service import (
@@ -40,7 +39,6 @@ from ..service import (
     QueryService,
     TargetSpec,
     build_lis_index,
-    parse_requests_document,
 )
 from ..streaming import StreamingLIS
 from ..workloads import make_sequence, make_string_pair
@@ -1088,218 +1086,6 @@ register_spec(
 )
 
 
-# ------------------------------------------------------------ service_latency
-# E13 — The HTTP front-end under load: open/closed-loop latency and QPS with
-# request coalescing, measured by the in-process load generator.
-
-
-def _latency_documents(
-    workload: str, n: int, seed: int, batch: int, variants: int = 4
-) -> List[Dict[str, Any]]:
-    """Per-variant batch documents: same index fingerprint, distinct windows.
-
-    Every variant queries the *same* named target, so concurrent variants
-    coalesce into shared passes; the windows differ per variant so the
-    bit-identity assertion actually distinguishes them.
-    """
-    documents = []
-    for variant in range(variants):
-        rng = np.random.default_rng(seed + 1000 * variant)
-        i = rng.integers(0, max(1, n - 1), size=batch)
-        widths = rng.integers(1, max(2, n // 4), size=batch)
-        j = np.minimum(i + widths, n)
-        documents.append(
-            {
-                "schema": "repro.service.requests",
-                "version": 2,
-                "requests": [
-                    {
-                        "op": "substring_query",
-                        "id": f"v{variant}",
-                        "workload": workload,
-                        "n": n,
-                        "seed": seed,
-                        "i": i.tolist(),
-                        "j": j.tolist(),
-                    }
-                ],
-            }
-        )
-    return documents
-
-
-def run_service_latency_point(
-    pattern: str,
-    batch: int,
-    n: int = 2048,
-    seed: int = 7,
-    workload: str = "random",
-    total: int = 96,
-    concurrency: int = 8,
-    rate: float = 120.0,
-    duration: float = 0.8,
-    max_inflight: int = 64,
-) -> Dict[str, Any]:
-    """One load-generator measurement against an in-process HTTP server.
-
-    Starts a server, warms the index with one POST, then drives ``pattern``
-    traffic (closed loop: ``concurrency`` saturating workers; open loop:
-    fixed-``rate`` arrivals).  Every successful answer is compared
-    bit-for-bit against a serial :class:`QueryService` oracle evaluated
-    outside the server — the codec and coalescing machinery must never
-    change an answer.
-    """
-    from ..server import get_json, post_json, run_load, start_server
-
-    documents = _latency_documents(workload, n, seed, batch)
-    handle = start_server(QueryService(cache=IndexCache()), max_inflight=max_inflight)
-    try:
-        warm_status, _, warm_body = post_json(handle.url + "/v2/batch", documents[0])
-        assert warm_status == 200 and warm_body["errors"] == 0, (
-            f"warm-up POST failed: {warm_status} {warm_body}"
-        )
-        report = run_load(
-            handle.url,
-            documents,
-            pattern=pattern,
-            total=total,
-            concurrency=concurrency,
-            rate=rate,
-            duration=duration,
-        )
-        _, _, stats = get_json(handle.url + "/stats")
-    finally:
-        handle.stop()
-
-    # Serial oracle: the same requests through a fresh QueryService, no
-    # HTTP, no coalescing, no concurrency.
-    oracle = QueryService(cache=IndexCache())
-    expected: Dict[int, List[Any]] = {}
-    for variant, document in enumerate(documents):
-        _, requests = parse_requests_document(document)
-        outcome = oracle.submit(requests).outcomes[0]
-        expected[variant] = [outcome.result]
-    mismatches = 0
-    for variant, observed_lists in report.answers.items():
-        for observed in observed_lists:
-            if observed != expected[variant]:
-                mismatches += 1
-    answers_checksum = weighted_checksum(
-        np.asarray(
-            [value for variant in sorted(expected) for value in expected[variant][0]],
-            dtype=np.int64,
-        )
-    )
-    coalescing = stats["coalescing"]
-    return {
-        "n": n,
-        "requests": report.requests,
-        "ok": report.ok,
-        "rejected": report.rejected,
-        "failed": report.failed,
-        "mismatches": mismatches,
-        "qps": report.qps,
-        "p50_ms": report.p50_ms,
-        "p95_ms": report.p95_ms,
-        "p99_ms": report.p99_ms,
-        "max_ms": report.max_ms,
-        "hist_p50_ms": report.hist_p50_ms,
-        "hist_p95_ms": report.hist_p95_ms,
-        "hist_p99_ms": report.hist_p99_ms,
-        "latency_hist": dict(report.latency_hist),
-        "percentile_method": report.percentile_method,
-        "passes": coalescing["passes"],
-        "merged_passes": coalescing["merged_passes"],
-        "coalesced_requests": coalescing["coalesced_requests"],
-        "peak_inflight": stats["peak_inflight"],
-        "answers_checksum": answers_checksum,
-    }
-
-
-def check_service_latency(points: List[PointResult]) -> None:
-    # (1) No request lost or wrong: every issued request is answered (or
-    # honestly rejected), and every answer matched the serial oracle; (2)
-    # latency percentiles are non-degenerate and ordered; (3) the same
-    # workload yields the same answers checksum across arrival patterns.
-    by_batch: Dict[Any, Dict[str, Any]] = {}
-    for point in points:
-        row = point.row()
-        case = f"{row['pattern']}/batch={row['batch']}"
-        assert row["ok"] > 0, f"no successful requests on {case}"
-        assert row["failed"] == 0, f"{row['failed']} failed requests on {case}"
-        assert row["mismatches"] == 0, (
-            f"{row['mismatches']} answers diverged from the serial oracle on {case}"
-        )
-        assert row["ok"] + row["rejected"] == row["requests"], (
-            f"requests silently dropped on {case}: "
-            f"{row['ok']} ok + {row['rejected']} rejected != {row['requests']} issued"
-        )
-        assert 0.0 < row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"] <= row["max_ms"], (
-            f"degenerate latency percentiles on {case}: "
-            f"p50={row['p50_ms']}, p95={row['p95_ms']}, p99={row['p99_ms']}"
-        )
-        assert row["qps"] > 0.0, f"zero sustained QPS on {case}"
-        reference = by_batch.setdefault(row["batch"], row)
-        assert row["answers_checksum"] == reference["answers_checksum"], (
-            f"answers diverge across arrival patterns at batch={row['batch']}: "
-            f"{row['answers_checksum']} != {reference['answers_checksum']}"
-        )
-
-
-def timer_service_latency() -> Callable[[], Any]:
-    from ..server import post_json, start_server
-
-    documents = _latency_documents("random", 1024, 7, 16)
-    handle = start_server(QueryService(cache=IndexCache()))
-    post_json(handle.url + "/v2/batch", documents[0])
-    state = {"next": 0}
-
-    def shot():
-        variant = state["next"] % len(documents)
-        state["next"] += 1
-        return post_json(handle.url + "/v2/batch", documents[variant])
-
-    return shot
-
-
-register_spec(
-    ExperimentSpec(
-        name="service_latency",
-        title="HTTP front-end latency under open/closed-loop load",
-        claim="network serving of Theorem 1.3 build products at interactive latency",
-        grid={"pattern": ["closed", "open"], "batch": [1, 8]},
-        fixed={
-            "n": 2048,
-            "seed": 7,
-            "workload": "random",
-            "total": 96,
-            "concurrency": 8,
-            "rate": 120.0,
-            "duration": 0.8,
-            "max_inflight": 64,
-        },
-        quick_grid={"pattern": ["closed", "open"], "batch": [4]},
-        quick_fixed={"n": 512, "total": 32, "rate": 80.0, "duration": 0.5},
-        point=run_service_latency_point,
-        columns=[
-            "pattern",
-            "batch",
-            "ok",
-            "rejected",
-            "qps",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "merged_passes",
-            "answers_checksum",
-        ],
-        checks=check_service_latency,
-        timer=timer_service_latency,
-        bench_file="benchmarks/bench_service_latency.py",
-    )
-)
-
-
 # ------------------------------------------------------------- shard_scaling
 # E14 — The sharded serving tier: consistent-hash routing across N worker
 # processes, answers bit-identical to the single-process service, throughput
@@ -1370,6 +1156,37 @@ def _outcome_values(outcomes) -> np.ndarray:
     """Flatten a batch's results into one order-sensitive integer vector."""
     parts = [np.asarray(outcome.result, dtype=np.int64).ravel() for outcome in outcomes]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+#: Recorded in every shard_scaling point so readers know exactly what the
+#: pXX numbers mean.
+PERCENTILE_METHOD = (
+    "linear interpolation (Hyndman-Fan R-7, the numpy default): "
+    "h = (n-1)*q/100; x[floor(h)] + (h-floor(h)) * (x[floor(h)+1] - x[floor(h)])"
+)
+
+
+def percentile_linear(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) by R-7 linear interpolation.
+
+    Explicit so the artifact method string above is the literal code, not a
+    library default that could drift: sort, take ``h = (n-1)*q/100``, and
+    interpolate between the two order statistics bracketing ``h``.  Matches
+    ``np.percentile(values, q)`` bit-for-bit (the tests pin that).
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    ordered = sorted(float(v) for v in values)
+    if not ordered:
+        raise ValueError("percentile of an empty sequence")
+    if len(ordered) == 1:
+        return ordered[0]
+    h = (len(ordered) - 1) * q / 100.0
+    lo = int(h)
+    frac = h - lo
+    if lo + 1 >= len(ordered):
+        return ordered[-1]
+    return ordered[lo] + frac * (ordered[lo + 1] - ordered[lo])
 
 
 def run_shard_scaling_point(

@@ -21,9 +21,9 @@ Five cooperating pieces, threaded through every serving layer:
   multi-window burn rates (Google SRE workbook style); the window history
   optionally persists to a JSONL file so burn rates survive restarts.
 * :mod:`repro.obs.report` — ``python -m repro report``: renders scaling
-  curves, latency histograms, cache hit-rate tables and perf-over-commits
-  trend tables from recorded ``results/*.json`` artifacts as ASCII, plus
-  the ``--capacity`` planning mode and the ``--slo`` burn-rate section.
+  curves, cache hit-rate tables and perf-over-commits trend tables from
+  recorded ``results/*.json`` artifacts as ASCII, plus the ``--slo``
+  burn-rate section.
 
 ``metrics``, ``sampling`` and ``trace`` import nothing from outside
 ``obs`` so the innermost layers (``core.seaweed``, ``service.cache``) can

@@ -1,10 +1,8 @@
 """``python -m repro report`` — turn recorded artifacts into readable output.
 
 Loads any set of schema-v1 documents from ``results/``, renders per-experiment
-views (scaling curves, latency tables/histograms, cache hit-rate tables), the
-perf-over-commits trend table from ``results/perf_trend.jsonl``, and a
-``--capacity`` planning mode that combines measured QPS with the recorded
-shard-scaling efficiency to answer "how many shards for X requests/second".
+views (scaling curves, cache hit-rate tables, perf bars, SLO burn rates) and
+the perf-over-commits trend table from ``results/perf_trend.jsonl``.
 
 Everything renders in ASCII with zero third-party dependencies.
 """
@@ -14,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "load_documents",
@@ -22,8 +20,6 @@ __all__ = [
     "render_report",
     "render_slo_summary",
     "render_trend_table",
-    "capacity_plan",
-    "render_capacity",
     "ascii_bar",
     "format_table",
 ]
@@ -113,52 +109,6 @@ def _render_shard_scaling(doc: Dict[str, Any]) -> str:
     table = format_table(["shards", "qps", "p50_ms", "p99_ms", "hit_rate", "imbalance", "scaling"], rows)
     note = points[0]["metrics"].get("note", "") if points else ""
     return table + (f"\nnote: {note}" if note else "")
-
-
-def _render_service_latency(doc: Dict[str, Any]) -> str:
-    rows = []
-    parts = []
-    for point in doc.get("points", []):
-        params = point.get("params", {})
-        metrics = point.get("metrics", {})
-        rows.append([
-            params.get("pattern", "?"),
-            params.get("batch", "?"),
-            metrics.get("qps", ""),
-            metrics.get("p50_ms", ""),
-            metrics.get("p95_ms", ""),
-            metrics.get("p99_ms", ""),
-            metrics.get("max_ms", ""),
-            metrics.get("coalesced_requests", ""),
-            metrics.get("rejected", ""),
-        ])
-        hist = metrics.get("latency_hist")
-        if isinstance(hist, Mapping) and hist.get("counts"):
-            label = f"pattern={params.get('pattern')} batch={params.get('batch')}"
-            parts.append(_render_latency_hist(label, hist))
-    table = format_table(
-        ["pattern", "batch", "qps", "p50_ms", "p95_ms", "p99_ms", "max_ms", "coalesced", "rejected"],
-        rows,
-    )
-    method = None
-    for point in doc.get("points", []):
-        method = point.get("metrics", {}).get("percentile_method") or method
-    if method:
-        table += f"\npercentile method: {method}"
-    return "\n\n".join([table] + parts)
-
-
-def _render_latency_hist(label: str, hist: Mapping[str, Any]) -> str:
-    bounds = [float(b) for b in hist.get("bounds", [])]
-    counts = [int(c) for c in hist.get("counts", [])]
-    peak = max(counts or [0])
-    rows = []
-    for index, count in enumerate(counts):
-        if count == 0:
-            continue
-        le = f"{bounds[index] * 1000:.3g} ms" if index < len(bounds) else "+Inf"
-        rows.append([f"<= {le}", count, ascii_bar(count, peak)])
-    return f"latency histogram [{label}]\n" + format_table(["bucket", "count", ""], rows)
 
 
 def _render_service_throughput(doc: Dict[str, Any]) -> str:
@@ -285,7 +235,6 @@ def render_slo_summary(docs: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
 
 _RENDERERS: Dict[str, Callable[[Dict[str, Any]], str]] = {
     "shard_scaling": _render_shard_scaling,
-    "service_latency": _render_service_latency,
     "service_throughput": _render_service_throughput,
     "perf_core": _render_perf_core,
     "streaming_throughput": _render_streaming,
@@ -341,119 +290,11 @@ def render_trend_table(trend_path: str) -> str:
     return f"{head}\n{table}"
 
 
-# --------------------------------------------------------------- capacity
-def capacity_plan(
-    docs: Sequence[Tuple[str, Dict[str, Any]]], target_qps: float
-) -> Dict[str, Any]:
-    """Combine measured QPS with shard-scaling efficiency into a shard count.
-
-    Uses the best closed-loop QPS from ``service_latency`` as the
-    single-server ceiling and the recorded ``shard_scaling`` curve to derive
-    per-added-shard efficiency (which on a single-core host is < 1: the
-    artifacts record pipe/dispatch overhead, not parallel speedup, and the
-    plan says so rather than extrapolating fiction).
-    """
-    by_name = {doc.get("experiment"): doc for _, doc in docs if "_load_error" not in doc}
-    plan: Dict[str, Any] = {"target_qps": float(target_qps), "feasible": None, "notes": []}
-
-    latency = by_name.get("service_latency")
-    single_qps = None
-    if latency:
-        closed = [
-            float(p["metrics"].get("qps", 0))
-            for p in latency.get("points", [])
-            if p.get("params", {}).get("pattern") == "closed"
-        ]
-        if closed:
-            single_qps = max(closed)
-            plan["single_server_qps"] = single_qps
-
-    scaling = by_name.get("shard_scaling")
-    if scaling and scaling.get("points"):
-        points = sorted(
-            scaling["points"], key=lambda p: int(p.get("params", {}).get("shards", 0))
-        )
-        curve = [
-            (int(p["params"]["shards"]), float(p["metrics"].get("qps", 0))) for p in points
-        ]
-        plan["shard_curve"] = [{"shards": s, "qps": q} for s, q in curve]
-        base = curve[0][1] if curve else 0.0
-        if len(curve) >= 2 and base > 0:
-            last_shards, last_qps = curve[-1]
-            # Observed throughput per shard relative to the 1-shard baseline.
-            efficiency = (last_qps / base) / last_shards
-            plan["scaling_efficiency"] = efficiency
-            cpu = int(points[0]["metrics"].get("cpu_count", 0) or 0)
-            plan["cpu_count"] = cpu
-            if single_qps is None:
-                single_qps = base
-                plan["single_server_qps"] = base
-            if efficiency >= 0.5 and cpu > 1:
-                per_shard = single_qps * efficiency
-                shards = max(1, _ceil_div(target_qps, per_shard))
-                plan["recommended_shards"] = shards
-                plan["feasible"] = True
-                plan["notes"].append(
-                    f"linear model: ceil(target / (single_qps * efficiency)) with "
-                    f"efficiency={efficiency:.2f} measured up to {last_shards} shards"
-                )
-            else:
-                plan["feasible"] = target_qps <= (single_qps or 0.0)
-                plan["recommended_shards"] = 1 if plan["feasible"] else None
-                plan["notes"].append(
-                    "recorded shard_scaling shows no parallel speedup "
-                    f"(efficiency={efficiency:.2f}, cpu_count={cpu}): sharding on this "
-                    "host only adds dispatch overhead, so the honest answer is the "
-                    "single-server ceiling; re-record shard_scaling on a multi-core "
-                    "host to plan beyond it"
-                )
-    if single_qps is not None and plan["feasible"] is None:
-        plan["feasible"] = target_qps <= single_qps
-        plan["recommended_shards"] = 1 if plan["feasible"] else None
-        plan["notes"].append("no shard_scaling artifact: single-server ceiling only")
-
-    perf = by_name.get("perf_core", {}).get("perf")
-    if perf:
-        plan["multiply_speedup_vs_reference"] = perf.get("multiply_speedup_vs_reference")
-    if single_qps is None:
-        plan["notes"].append(
-            "no measured QPS found (need service_latency or shard_scaling artifacts)"
-        )
-        plan["feasible"] = False
-    return plan
-
-
-def _ceil_div(a: float, b: float) -> int:
-    return int(a // b) + (1 if a % b else 0) if b else 0
-
-
-def render_capacity(plan: Dict[str, Any]) -> str:
-    head = _header(f"capacity plan for {plan['target_qps']:g} requests/second")
-    lines = [head]
-    if "single_server_qps" in plan:
-        lines.append(f"measured single-server ceiling: {plan['single_server_qps']:,.0f} qps")
-    if "scaling_efficiency" in plan:
-        lines.append(
-            f"shard scaling efficiency: {plan['scaling_efficiency']:.2f} "
-            f"(cpu_count={plan.get('cpu_count', '?')})"
-        )
-    for entry in plan.get("shard_curve", []):
-        lines.append(f"  shards={entry['shards']}: {entry['qps']:,.0f} qps")
-    if plan.get("feasible"):
-        lines.append(f"recommended shards: {plan.get('recommended_shards')}")
-    elif plan.get("feasible") is False:
-        lines.append("target NOT reachable from the recorded measurements")
-    for note in plan.get("notes", []):
-        lines.append(f"note: {note}")
-    return "\n".join(lines)
-
-
 # ------------------------------------------------------------------ driver
 def render_report(
     paths: Sequence[str],
     *,
     trend_path: Optional[str] = None,
-    capacity_qps: Optional[float] = None,
     slo: bool = False,
 ) -> str:
     """The full report text; the CLI prints this verbatim."""
@@ -463,6 +304,4 @@ def render_report(
         sections.append(render_slo_summary(docs))
     if trend_path is not None:
         sections.append(render_trend_table(trend_path))
-    if capacity_qps is not None:
-        sections.append(render_capacity(capacity_plan(docs, capacity_qps)))
     return "\n\n\n".join(sections) + "\n"

@@ -25,20 +25,26 @@ TREND_SCHEMA_VERSION = 1
 
 
 def current_commit(cwd: Optional[str] = None) -> str:
-    """The short git commit hash, or ``"unknown"`` outside a repo."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
+    """The short git commit hash, or ``"unknown"`` outside a repo.
+
+    ``-dirty`` is appended when a tracked file differs from that commit, so
+    a row recorded before its change is committed is not filed under the
+    parent as if it measured the parent.
+    """
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=cwd, capture_output=True, text=True, timeout=10, check=False
         )
+
+    try:
+        head = git("rev-parse", "--short", "HEAD")
+        if head.returncode != 0 or not head.stdout.strip():
+            return "unknown"
+        dirty = git("diff", "--quiet", "HEAD", "--").returncode == 1
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    text = out.stdout.strip()
-    return text if out.returncode == 0 and text else "unknown"
+    commit = head.stdout.strip()
+    return f"{commit}-dirty" if dirty else commit
 
 
 def trend_row(document: Dict[str, Any], *, commit: Optional[str] = None) -> Dict[str, Any]:

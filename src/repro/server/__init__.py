@@ -8,25 +8,21 @@ The server package puts a network face on :class:`~repro.service.serving.QuerySe
   ``Retry-After`` backpressure, background index builds and streaming
   sessions, all serialised onto one service thread;
 * :mod:`~repro.server.transport` — the asyncio HTTP/1.1 codec behind
-  :func:`start_server`;
-* :mod:`~repro.server.loadgen` — the open/closed-loop load generator behind
-  the registered ``service_latency`` experiment.
+  :func:`start_server`, and the :func:`post_json` / :func:`get_json`
+  client helpers that tests use to call it.
 
 ``python -m repro serve-http`` is the CLI entry point.
 """
 
 from .core import BATCH_SCHEMA_ID, STATS_SCHEMA_ID, ServerCore
-from .loadgen import LoadReport, get_json, post_json, run_load
-from .transport import ServerHandle, start_server
+from .transport import ServerHandle, get_json, post_json, start_server
 
 __all__ = [
     "BATCH_SCHEMA_ID",
     "STATS_SCHEMA_ID",
     "ServerCore",
-    "LoadReport",
     "get_json",
     "post_json",
-    "run_load",
     "ServerHandle",
     "start_server",
 ]

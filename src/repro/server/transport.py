@@ -1,10 +1,10 @@
 """The HTTP/1.1 edge of the front-end: one asyncio codec.
 
 :func:`start_server` runs ``asyncio.start_server`` on a dedicated event-loop
-thread, so synchronous callers (tests, the CLI, the load generator) can
-start and stop it.  Each connection carries one request and one response,
-sent with ``Connection: close``.  The whole request — head and body — must
-arrive within :data:`_READ_TIMEOUT_S`; a request the codec cannot frame gets
+thread, so synchronous callers (tests and the CLI) can start and stop it.
+Each connection carries one request and one response, sent with
+``Connection: close``.  The whole request — head and body — must arrive
+within :data:`_READ_TIMEOUT_S`; a request the codec cannot frame gets
 a prompt status of its own instead of a traceback, a silent close or a hang:
 
 =====  ==================================================================
@@ -14,6 +14,9 @@ a prompt status of its own instead of a traceback, a silent close or a hang:
 413    declared body over :data:`_MAX_BODY_BYTES`
 431    request head (request line + headers) over :data:`_MAX_HEAD_BYTES`
 =====  ==================================================================
+
+:func:`post_json` and :func:`get_json` are the matching stdlib client: one
+request, one parsed JSON answer, with error statuses returned, not raised.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from http import HTTPStatus
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .core import ServerCore, _HttpError
 
-__all__ = ["ServerHandle", "start_server"]
+__all__ = ["ServerHandle", "get_json", "post_json", "start_server"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 _MAX_HEAD_BYTES = 64 * 1024
@@ -210,3 +215,45 @@ def start_server(
         thread.join(timeout=10)
 
     return ServerHandle(core=core, host=host, port=bound["port"], _stop=stop)
+
+
+def post_json(
+    url: str,
+    payload: Any,
+    timeout: float = 30.0,
+    headers: Optional[Dict[str, str]] = None,
+) -> Tuple[int, Dict[str, str], Any]:
+    """POST a JSON document; returns ``(status, headers, parsed_body)``.
+
+    HTTP error statuses (4xx/5xx) are returned, not raised, so a caller can
+    assert on a 429 or a 400.  ``headers`` adds or overrides request headers
+    (e.g. ``X-Repro-Deadline-Ms``).
+    """
+    request_headers = {"Content-Type": "application/json"}
+    if headers:
+        request_headers.update(headers)
+    body = json.dumps(payload).encode("utf-8")
+    return _exchange(
+        urllib.request.Request(url, data=body, headers=request_headers, method="POST"),
+        timeout,
+    )
+
+
+def get_json(url: str, timeout: float = 30.0) -> Tuple[int, Dict[str, str], Any]:
+    """GET a JSON document; returns ``(status, headers, parsed_body)``."""
+    return _exchange(urllib.request.Request(url, method="GET"), timeout)
+
+
+def _exchange(
+    request: urllib.request.Request, timeout: float
+) -> Tuple[int, Dict[str, str], Any]:
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, dict(response.headers), json.load(response)
+    except urllib.error.HTTPError as exc:
+        raw = exc.read()
+        try:
+            parsed = json.loads(raw.decode("utf-8")) if raw else {}
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            parsed = {"error": raw.decode("utf-8", "replace")}
+        return exc.code, dict(exc.headers), parsed

@@ -46,7 +46,9 @@ Observability: every router count and timing lives in the router's own
 :class:`~repro.obs.metrics.MetricsRegistry` (``router.metrics``), every
 shard's counts in its service and cache registries, which process shards,
 inline shards and the degraded fallback all answer one ``metrics`` command
-with.  ``/metrics`` and :meth:`ShardRouter.stats` read those snapshots —
+with.  A scrape never waits for a busy worker: it serves that shard's last
+polled snapshot and says how old it is.  ``/metrics`` and
+:meth:`ShardRouter.stats` read those snapshots —
 requests routed per shard, load imbalance (max/mean), worker restarts and
 hangs, bounded retries, degraded requests, and the queue-wait vs
 shard-execution timing split that makes imbalance diagnosable from
@@ -125,6 +127,10 @@ class ShardWorkerHang(ShardWorkerCrash):
     *killed* and then handled exactly like a crashed one (restart, bounded
     retry) — the taxonomy only matters for counters and span events.
     """
+
+
+class _WorkerBusy(Exception):
+    """The worker's lock was held and the caller asked not to wait for it."""
 
 
 class ShardRetriesExhausted(RuntimeError):
@@ -240,12 +246,8 @@ def _normalise_ensure(target: TargetSpec, kind: Optional[str], strict: bool) -> 
     return kind, (True if kind == "lcs" else bool(strict))
 
 
-def _execute_command(
-    service: QueryService, shard_id: int, spill_dir: Optional[str], cmd: str, payload: Any
-) -> Any:
+def _execute_command(service: QueryService, cmd: str, payload: Any) -> Any:
     """One worker command, shared verbatim by process and in-process shards."""
-    if cmd == "ping":
-        return {"shard": shard_id, "pid": os.getpid(), "spill_dir": spill_dir}
     if cmd == "submit":
         batch = service.submit(payload)
         return batch.outcomes, batch.indexes_built, batch.indexes_reused
@@ -306,7 +308,7 @@ def _shard_worker_main(conn, shard_id: int, config: ShardConfig) -> None:
                 # while "crash"/"hang" behave like the real thing (pipe EOF
                 # / unresponsive worker) and exercise the recovery paths.
                 fault_point("worker.dispatch", shard=shard_id, cmd=cmd)
-                result = _execute_command(service, shard_id, spill_dir, cmd, payload)
+                result = _execute_command(service, cmd, payload)
                 if cmd == "metrics":
                     # Kernel and fault counts; an inline shard's are the server's.
                     result = merge_snapshots(result, get_registry().snapshot())
@@ -551,7 +553,7 @@ class _InlineWorker(_WorkerBase):
         # Inline execution cannot hang on a pipe; the timeouts are accepted
         # for signature parity and ignored (deadlines are still enforced at
         # the router and edge checkpoints around this call).
-        return _execute_command(self._service, self.shard_id, self.spill_dir, cmd, payload)
+        return _execute_command(self._service, cmd, payload)
 
     def restart(self) -> None:  # pragma: no cover - inline workers cannot crash
         self._service, self.spill_dir = _build_worker_service(self.config, self.shard_id)
@@ -654,6 +656,9 @@ class ShardRouter:
         #: single-threaded and every pool thread may need it at once.
         self._fallback_lock = threading.Lock()
         self._fallback: Optional[_InlineWorker] = None
+        #: Each shard's last polled metrics snapshot and when it was taken
+        #: (``time.monotonic()``): what a scrape serves while the shard is busy.
+        self._last_polls: Dict[str, Tuple[Dict[str, Any], float]] = {}
         self.metrics = MetricsRegistry()
         counter, histogram = self.metrics.counter, self.metrics.histogram
         self._pipe_seconds = histogram(
@@ -796,6 +801,7 @@ class ShardRouter:
         payload: Any,
         request_count: int = 0,
         breaker: Optional[CircuitBreaker] = None,
+        wait: bool = True,
     ) -> Any:
         """One worker command with crash/hang detection and immediate retry.
 
@@ -808,13 +814,17 @@ class ShardRouter:
         attempt's outcome feeds the shard's circuit breaker, which turns a
         crash loop into degraded serving.  A closed router refuses the call
         before it takes the lock, so it never respawns a stopped worker.
+        With ``wait=False`` a worker that is running another command raises
+        :class:`_WorkerBusy` at once instead of being waited for.
         """
         if self.closed:
             raise RuntimeError("ShardRouter is closed")
         worker = self._workers[shard_id]
         deadline = current_deadline()
         waited_from = time.perf_counter()
-        with worker.lock:
+        if not worker.lock.acquire(blocking=wait):
+            raise _WorkerBusy(f"shard {shard_id} is running another command")
+        try:
             waited = time.perf_counter() - waited_from
             last_crash: Optional[ShardWorkerCrash] = None
             attempt = 0
@@ -883,6 +893,8 @@ class ShardRouter:
                     self._queue_wait.observe(waited, count=request_count)
                     self._shard_exec.observe(executed, count=request_count)
                 return result
+        finally:
+            worker.lock.release()
         raise ShardRetriesExhausted(
             f"shard {shard_id} worker crashed {attempt} times on one "
             f"sub-batch; giving up ({last_crash})"
@@ -1072,35 +1084,51 @@ class ShardRouter:
         }
 
     # --------------------------------------------------------------- metrics
-    def _poll_shards(self) -> List[Tuple[str, Any]]:
-        """``(shard label, snapshot or error)`` per shard, then the fallback's.
+    def _poll_shards(self) -> List[Tuple[str, Any, Optional[float]]]:
+        """``(shard label, snapshot or error, snapshot age)`` per shard, then
+        the fallback's.
 
         Every shard answers the one ``metrics`` command, whatever serves it:
         a worker process, an inline shard, or (labelled ``"fallback"``, once
-        a breaker has opened) the degraded fallback.
+        a breaker has opened) the degraded fallback.  A poll never waits for
+        a busy worker: it serves that shard's last polled snapshot, with its
+        age in seconds, or ``None`` for both before the shard's first poll.
+        The fallback's registries take their own locks, so they are read
+        without ``_fallback_lock``, which a degraded pass holds throughout.
         """
-        polled: List[Tuple[str, Any]] = []
+        polled: List[Tuple[str, Any, Optional[float]]] = []
         for worker in self._workers:
+            shard = str(worker.shard_id)
             try:
-                snap = self._call(worker.shard_id, "metrics", None)
+                snap = self._call(worker.shard_id, "metrics", None, wait=False)
+            except _WorkerBusy:
+                snap, polled_at = self._last_polls.get(shard, (None, None))
+                age = None if polled_at is None else time.monotonic() - polled_at
+                polled.append((shard, snap, age))
+                continue
             except RuntimeError as exc:
-                snap = exc
-            polled.append((str(worker.shard_id), snap))
-        with self._fallback_lock:
-            if self._fallback is not None:
-                polled.append(("fallback", self._fallback.call("metrics", None)))
+                polled.append((shard, exc, None))
+                continue
+            self._last_polls[shard] = (snap, time.monotonic())
+            polled.append((shard, snap, 0.0))
+        fallback = self._fallback
+        if fallback is not None:
+            # The metrics command only reads registries; nothing else of
+            # the fallback may be called without the lock.
+            polled.append(("fallback", fallback.call("metrics", None), 0.0))
         return polled
 
     def metric_snapshots(self) -> List[Dict[str, Any]]:
         """The router's registry, then one shard-stamped snapshot per shard.
 
         The router's registry is read before the polls, which can restart a
-        worker and count it there.  A shard that cannot answer is skipped
-        rather than failing the scrape.
+        worker and count it there.  A busy shard contributes its last polled
+        snapshot; a shard that cannot answer, or is busy before its first
+        poll, is skipped rather than failing the scrape.
         """
         snapshots: List[Dict[str, Any]] = [self.metrics.snapshot()]
-        for shard, snap in self._poll_shards():
-            if not isinstance(snap, Exception):
+        for shard, snap, _ in self._poll_shards():
+            if isinstance(snap, dict):
                 snapshots.append(relabel_snapshot(snap, {"shard": shard}))
         return snapshots
 
@@ -1114,14 +1142,16 @@ class ShardRouter:
         and the fleet totals (degraded fallback included) are
         :func:`~repro.service.serving.service_counters` over the polled
         shard snapshots; router counts and timings are a view over
-        :attr:`metrics`.
+        :attr:`metrics`.  Each per-shard doc's ``snapshot_age_seconds`` says
+        how old its counts are: 0 when polled now, older while the shard is
+        busy, ``None`` when no snapshot is shown.
         """
         polled = self._poll_shards()
         # Read after the polls, which can restart a dead worker.
         snapshot = self.metrics.snapshot()
         count = functools.partial(snapshot_value, snapshot)
         per_shard: List[Dict[str, Any]] = []
-        for worker, (shard, snap) in zip(self._workers, polled):
+        for worker, (shard, snap, age) in zip(self._workers, polled):
             doc: Dict[str, Any] = {
                 "shard": worker.shard_id,
                 "worker": worker.kind,
@@ -1130,9 +1160,10 @@ class ShardRouter:
             }
             if isinstance(snap, Exception):
                 doc["error"] = str(snap)
-            else:
+            elif snap is not None:
                 doc.update(service_counters(snap))
                 doc["cache"]["max_bytes"] = int(self.config.cache_bytes)
+            doc["snapshot_age_seconds"] = age
             doc["requests_routed"] = count("repro_shard_requests_total", shard=shard)
             doc["sub_batches"] = count("repro_shard_sub_batches_total", shard=shard)
             doc["restarts"] = count("repro_shard_restarts_total", shard=shard)
@@ -1144,7 +1175,7 @@ class ShardRouter:
         imbalance = (max(routed) / mean_routed) if mean_routed > 0 else 0.0
 
         totals = service_counters(
-            merge_snapshots(*(snap for _, snap in polled if not isinstance(snap, Exception)))
+            merge_snapshots(*(snap for _, snap, _ in polled if isinstance(snap, dict)))
         )
         totals["cache"]["max_bytes"] = int(self.config.cache_bytes) * self.shards
         totals["cache"]["per_shard_max_bytes"] = int(self.config.cache_bytes)

@@ -262,9 +262,6 @@ SPEC_EXCLUSIONS = {
     "(and tests/test_service.py covers the per-backend answers)",
     "streaming_throughput": "sweeps the backend itself; its own checks assert identity "
     "(and tests/test_streaming.py covers the per-backend answers)",
-    "service_latency": "no cluster backend knob: measures the HTTP front-end, whose "
-    "answers are oracle-checked inside the point (and tests/test_server.py checks "
-    "concurrent answers against the serial oracle)",
     "shard_scaling": "no cluster backend knob: sweeps the shard count, whose answers "
     "are oracle-checked inside the point (and tests/test_sharding.py covers "
     "shard-count identity)",

@@ -10,8 +10,8 @@ Covers the four surfaces the layer promises:
   IDs and child spans inside their parents;
 * one store — per-shard counters reach ``GET /metrics`` with the values
   the ``/stats`` JSON reports (both read the router's registry);
-* reporting — ``repro report`` renders every recorded artifact, the trend
-  log and the capacity planner without matplotlib or any third-party dep.
+* reporting — ``repro report`` renders every recorded artifact and the
+  trend log without matplotlib or any third-party dep.
 """
 
 import json
@@ -163,7 +163,7 @@ class TestExposition:
 # ------------------------------------------------------------- percentiles
 class TestLoadgenPercentiles:
     def test_percentile_linear_matches_numpy(self, rng):
-        from repro.server.loadgen import percentile_linear
+        from repro.experiments.specs import percentile_linear
 
         for n in (1, 2, 7, 100, 999):
             values = rng.exponential(scale=3.0, size=n).tolist()
@@ -173,7 +173,7 @@ class TestLoadgenPercentiles:
                 )
 
     def test_percentile_linear_rejects_bad_input(self):
-        from repro.server.loadgen import percentile_linear
+        from repro.experiments.specs import percentile_linear
 
         with pytest.raises(ValueError):
             percentile_linear([], 50)
@@ -457,36 +457,6 @@ class TestReport:
             if name:
                 assert name in text
 
-    def test_capacity_plan_modes(self):
-        from repro.obs.report import capacity_plan
-
-        scaling_doc = {
-            "experiment": "shard_scaling",
-            "points": [
-                {"params": {"shards": 1}, "metrics": {"qps": 1000.0, "cpu_count": 8}},
-                {"params": {"shards": 4}, "metrics": {"qps": 3600.0, "cpu_count": 8}},
-            ],
-        }
-        plan = capacity_plan([("s", scaling_doc)], target_qps=5000)
-        assert plan["feasible"] is True
-        assert plan["scaling_efficiency"] == pytest.approx(0.9)
-        assert plan["recommended_shards"] == 6  # ceil(5000 / (1000 * 0.9))
-
-        flat = {
-            "experiment": "shard_scaling",
-            "points": [
-                {"params": {"shards": 1}, "metrics": {"qps": 1000.0, "cpu_count": 1}},
-                {"params": {"shards": 4}, "metrics": {"qps": 400.0, "cpu_count": 1}},
-            ],
-        }
-        plan = capacity_plan([("s", flat)], target_qps=5000)
-        assert plan["feasible"] is False
-        assert plan["recommended_shards"] is None
-        assert any("no parallel speedup" in note for note in plan["notes"])
-
-        plan = capacity_plan([], target_qps=10)
-        assert plan["feasible"] is False
-
     def test_trend_record_load_roundtrip(self, tmp_path):
         from repro.perf.trend import load_trend, record_trend, trend_row
 
@@ -519,3 +489,29 @@ class TestReport:
             load_trend(str(path))
         assert len(load_trend(str(path), strict=False)) == 2
         assert trend_row(document, commit="x")["quick"] is True
+
+    def test_current_commit_marks_a_dirty_tree(self, tmp_path):
+        import subprocess
+
+        from repro.perf.trend import current_commit
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "first")
+        head = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=tmp_path, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        assert current_commit(str(tmp_path)) == head
+        (tmp_path / "untracked.txt").write_text("new\n")
+        assert current_commit(str(tmp_path)) == head
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert current_commit(str(tmp_path)) == f"{head}-dirty"

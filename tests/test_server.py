@@ -3,8 +3,9 @@
 The concurrency harness every later scaling PR regresses against:
 
 * bit-identity — N concurrent clients through the server must match serial
-  :class:`QueryService` evaluation exactly, with coalescing counters
-  proving duplicate-fingerprint queries actually merged;
+  :class:`QueryService` evaluation exactly: fixed batches, with coalescing
+  counters proving duplicate-fingerprint queries actually merged, and
+  ``hypothesis``-generated mixed batches, plain and behind 2 shards;
 * fault injection — a failing index build yields a structured error for
   its group only, the server stays up, and the in-flight pass map is
   cleaned (no poisoned fingerprint);
@@ -32,8 +33,7 @@ from hypothesis import strategies as st
 
 import repro.server.transport as transport_module
 import repro.service.serving as serving_module
-from repro.experiments import get_spec, run_experiment
-from repro.server import get_json, post_json, run_load, start_server
+from repro.server import get_json, post_json, start_server
 from repro.service import IndexCache, QueryService, parse_requests_document
 
 
@@ -107,6 +107,75 @@ def _serial_answers(documents):
         batch = oracle.submit(requests)
         answers.append([outcome.result for outcome in batch.outcomes])
     return answers
+
+
+@st.composite
+def _window(draw, n):
+    """In-range half-open windows ``0 <= lo <= hi <= n``: one scalar pair or arrays."""
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    if len(pairs) == 1 and draw(st.booleans()):
+        return pairs[0]
+    return [lo for lo, _ in pairs], [hi for _, hi in pairs]
+
+
+#: ``kind -> (target key, workload names)`` of the generated named targets.
+_NAMED_TARGETS = {
+    "named": ("workload", ("random", "near_sorted", "duplicate_heavy")),
+    "pair": ("string_workload", ("correlated_pair", "random_pair")),
+}
+
+
+@st.composite
+def _generated_request(draw):
+    """One v2 request over a target of length n <= 128 (a named sequence, an
+    inline sequence or a named string pair) with every window in range.
+
+    Targets come from a small pool so concurrent batches share fingerprints.
+    """
+    kind = draw(st.sampled_from(("named", "inline", "pair")))
+    if kind == "inline":
+        sequence = draw(st.lists(st.integers(0, 7), min_size=1, max_size=48))
+        request, n = {"sequence": sequence}, len(sequence)
+    else:
+        n = draw(st.sampled_from((1, 17, 64, 128)))
+        key, names = _NAMED_TARGETS[kind]
+        request = {key: draw(st.sampled_from(names)), "n": n, "seed": draw(st.integers(0, 1))}
+    if kind == "pair":
+        ops = ("lcs_length", "substring_query", "window_sweep")
+    else:
+        ops = ("lis_length", "substring_query", "rank_interval_query", "window_sweep")
+        request["strict"] = draw(st.booleans())
+    request["op"] = op = draw(st.sampled_from(ops))
+    if op == "substring_query":
+        request["i"], request["j"] = draw(_window(n))
+    elif op == "rank_interval_query":
+        request["x"], request["y"] = draw(_window(n))
+    elif op == "window_sweep":
+        request["width"] = draw(st.integers(1, n))
+        request["step"] = draw(st.integers(1, 3))
+    return request
+
+
+def _generated_batch():
+    return st.lists(_generated_request(), min_size=1, max_size=4).map(
+        lambda requests: [dict(request, id=f"q{k}") for k, request in enumerate(requests)]
+    )
+
+
+@pytest.fixture(scope="module", params=[0, 2], ids=["shards0", "shards2"])
+def oracle_server(request):
+    """A server shared by every generated example: plain, or behind 2 shards."""
+    from repro.service import ShardRouter
+
+    handle = start_server(ShardRouter(request.param) if request.param else None)
+    yield handle
+    handle.stop()
 
 
 # ---------------------------------------------------------------- plumbing
@@ -262,21 +331,40 @@ class TestConcurrentBitIdentity:
         finally:
             handle.stop()
 
-    def test_closed_loop_load_generator_matches_oracle(self):
-        documents = _mixed_documents()[:4]
+    @settings(max_examples=15, deadline=None)
+    @given(batches=st.lists(_generated_batch(), min_size=4, max_size=4))
+    def test_generated_concurrent_batches_match_serial_oracle(self, oracle_server, batches):
+        """Four generated batches posted at once: every entry ok and oracle-equal."""
+        documents = [
+            {"schema": "repro.service.requests", "version": 2, "requests": batch}
+            for batch in batches
+        ]
         expected = _serial_answers(documents)
-        handle = start_server()
-        try:
-            report = run_load(
-                handle.url, documents, pattern="closed", total=24, concurrency=6
-            )
-            assert report.ok == 24 and report.failed == 0 and report.rejected == 0
-            for variant, observed_lists in report.answers.items():
-                for observed in observed_lists:
-                    assert observed == expected[variant]
-            assert report.qps > 0 and report.p50_ms > 0
-        finally:
-            handle.stop()
+        barrier = threading.Barrier(len(documents))
+        replies = [None] * len(documents)
+
+        def client(slot):
+            barrier.wait(timeout=30)
+            replies[slot] = post_json(oracle_server.url + "/v2/batch", documents[slot])
+
+        threads = [
+            threading.Thread(target=client, args=(slot,)) for slot in range(len(documents))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+
+        for (status, _, body), answers in zip(replies, expected):
+            assert status == 200, body
+            entries = body["results"]
+            assert [entry["status"] for entry in entries] == ["ok"] * len(entries), entries
+            assert not any(entry["degraded"] for entry in entries)
+            assert [entry["result"] for entry in entries] == answers
+        _, _, stats = get_json(oracle_server.url + "/stats")
+        assert stats["requests"]["failed"] == 0
+        assert stats["coalescing"]["inflight_fingerprints"] == 0
 
 
 # ------------------------------------------------------------- fault injection
@@ -807,20 +895,6 @@ class TestBatchParseErrors:
             assert status == 400
         finally:
             handle.stop()
-
-
-# -------------------------------------------------------- service_latency spec
-class TestServiceLatencySpec:
-    def test_quick_grid_passes_checks(self):
-        spec = get_spec("service_latency")
-        result = run_experiment(spec, quick=True)
-        assert result.checks_passed is True
-        for point in result.points:
-            row = point.row()
-            assert row["mismatches"] == 0
-            assert row["ok"] > 0 and row["failed"] == 0
-            assert 0 < row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
-            assert row["qps"] > 0
 
 
 # ------------------------------------------------------------------ CLI e2e

@@ -17,6 +17,7 @@ The invariants every scaling change must preserve:
 import json
 import os
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -337,6 +338,52 @@ class TestRouterBehindServer:
         # Server shutdown must have closed the router's workers.
         assert router.closed
         assert all(worker.process is None for worker in router._workers)
+
+    def test_scrapes_never_wait_on_a_busy_worker(self):
+        """Holding a worker's lock (a long command) must not stall a scrape."""
+        from repro.obs.metrics import parse_prometheus_text
+
+        document = {
+            "requests": [
+                {"op": "lis_length", "id": f"r{s}", "workload": "random", "n": 64, "seed": s}
+                for s in range(2)
+            ]
+        }
+        router = ShardRouter(1)
+        handle = start_server(router)
+
+        def scrape():
+            status, _, stats = get_json(handle.url + "/stats", timeout=2)
+            assert status == 200
+            with urllib.request.urlopen(handle.url + "/metrics", timeout=2) as response:
+                metrics = parse_prometheus_text(response.read().decode("utf-8"))
+            return stats["service"]["per_shard"][0], metrics
+
+        try:
+            with router._workers[0].lock:
+                doc, _ = scrape()
+            assert doc["snapshot_age_seconds"] is None and "queries_evaluated" not in doc
+
+            status, _, body = post_json(handle.url + "/v2/batch", document)
+            assert status == 200 and body["errors"] == 0
+            polled, _ = scrape()
+            assert polled["snapshot_age_seconds"] == 0.0
+            with router._workers[0].lock:
+                time.sleep(0.01)
+                doc, metrics = scrape()
+            assert doc["snapshot_age_seconds"] > 0.0
+            assert doc["queries_evaluated"] == polled["queries_evaluated"] == 2
+            assert metrics["repro_service_queries_total"][(("shard", "0"),)] == 2
+
+            # A degraded pass holds the fallback's lock throughout.
+            router._breakers[0].trip()
+            status, _, body = post_json(handle.url + "/v2/batch", document)
+            assert status == 200 and all(entry["degraded"] for entry in body["results"])
+            with router._fallback_lock:
+                _, metrics = scrape()
+            assert metrics["repro_service_queries_total"][(("shard", "fallback"),)] == 2
+        finally:
+            handle.stop()
 
 
 # ------------------------------------------------------------ spec + CLI
