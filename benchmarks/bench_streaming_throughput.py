@@ -3,8 +3,8 @@
 Thin pytest wrapper over the registered ``streaming_throughput`` experiment
 spec.  The spec's per-point assertions compare every tick's answers against a
 rebuild-from-scratch DP oracle and the aggregator's root product against a
-from-scratch seaweed build; the cross-point checks assert answer identity
-across the serial/thread/process execution backends and an amortised
+from-scratch seaweed build; the cross-point checks assert that the slide
+path rebuilds leaf blocks rather than the whole window and an amortised
 per-tick speedup of at least 10x over rebuild-per-tick at n >= 4096.  The
 timed kernel is one steady-state slide tick (push + exact LIS answer).
 """

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# One-command smoke check: tier-1 tests, a quick CLI experiment run (serial
-# and process execution backends), a serving batch-mode smoke (build ->
+# One-command smoke check: tier-1 tests, a quick CLI experiment run, a
+# quick service_throughput run, a serving batch-mode smoke (build ->
 # cached re-query -> artifact validate), an HTTP front-end smoke (serve-http
 # in the background -> cold/warm POST cycle -> background build poll ->
 # a Content-Length: -5 frame answered 400 -> /metrics scrape with
@@ -22,7 +22,8 @@
 # hang/restart/fault counters on /stats, worker-side fault fires merged
 # into /metrics, and a 1 ms X-Repro-Deadline-Ms probe answering a
 # structured 504), the quick shard_scaling spec
-# (cross-shard-count answer checksum identity), a streaming cold/warm cycle
+# (cross-shard-count answer checksum identity), the quick
+# streaming_throughput spec, a streaming cold/warm cycle
 # (sliding-window session -> artifact validate), a quick perf pass gated
 # against the recorded results/perf_core.json baseline (cpu-normalised
 # regression check + the >= speedup floor) with a trend row appended and
@@ -35,13 +36,12 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 ARTIFACT="${1:-/tmp/repro-smoke-table1.json}"
-BACKEND_ARTIFACT="${2:-/tmp/repro-smoke-lis-process.json}"
-SERVE_ARTIFACT="${3:-/tmp/repro-smoke-serve.json}"
-SERVICE_ARTIFACT="${4:-/tmp/repro-smoke-service-throughput.json}"
-STREAM_ARTIFACT="${5:-/tmp/repro-smoke-stream.json}"
-STREAMING_ARTIFACT="${6:-/tmp/repro-smoke-streaming-throughput.json}"
-PERF_ARTIFACT="${7:-/tmp/repro-smoke-perf.json}"
-SHARD_ARTIFACT="${8:-/tmp/repro-smoke-shard-scaling.json}"
+SERVE_ARTIFACT="${2:-/tmp/repro-smoke-serve.json}"
+SERVICE_ARTIFACT="${3:-/tmp/repro-smoke-service-throughput.json}"
+STREAM_ARTIFACT="${4:-/tmp/repro-smoke-stream.json}"
+STREAMING_ARTIFACT="${5:-/tmp/repro-smoke-streaming-throughput.json}"
+PERF_ARTIFACT="${6:-/tmp/repro-smoke-perf.json}"
+SHARD_ARTIFACT="${7:-/tmp/repro-smoke-shard-scaling.json}"
 TREND_LOG="${TREND_LOG:-/tmp/repro-smoke-perf-trend.jsonl}"
 SERVE_HTTP_PORT="${SERVE_HTTP_PORT:-8077}"
 SHARD_HTTP_PORT="${SHARD_HTTP_PORT:-8078}"
@@ -73,11 +73,7 @@ echo "== quick table1 run -> ${ARTIFACT} =="
 python -m repro run table1 --quick --json "${ARTIFACT}"
 
 echo
-echo "== quick lis_rounds run on the process execution backend -> ${BACKEND_ARTIFACT} =="
-python -m repro run lis_rounds --quick --backend process --json "${BACKEND_ARTIFACT}"
-
-echo
-echo "== quick service_throughput run (serial/thread/process grid) -> ${SERVICE_ARTIFACT} =="
+echo "== quick service_throughput run (answers checked against a rebuild) -> ${SERVICE_ARTIFACT} =="
 python -m repro run service_throughput --quick --json "${SERVICE_ARTIFACT}"
 
 echo
@@ -144,7 +140,7 @@ assert record["status"] == "done", record
 stats = call("GET", "/stats")
 assert stats["requests"]["answered"] == 4, stats["requests"]
 assert stats["builds"]["done"] == 1, stats["builds"]
-assert stats["stats_schema"] == "repro.server.stats.v6", stats["stats_schema"]
+assert stats["stats_schema"] == "repro.server.stats.v7", stats["stats_schema"]
 
 # The codec answers a malformed frame with a prompt 400, not a traceback.
 import socket
@@ -565,7 +561,7 @@ echo "== quick shard_scaling run (answers shard-invariant) -> ${SHARD_ARTIFACT} 
 python -m repro run shard_scaling --quick --json "${SHARD_ARTIFACT}"
 
 echo
-echo "== quick streaming_throughput run (serial/thread/process grid) -> ${STREAMING_ARTIFACT} =="
+echo "== quick streaming_throughput run (ticks checked against the DP oracle) -> ${STREAMING_ARTIFACT} =="
 python -m repro run streaming_throughput --quick --json "${STREAMING_ARTIFACT}"
 
 echo
@@ -610,7 +606,6 @@ echo "report OK: $(wc -l < /tmp/repro-smoke-report.txt) lines rendered (+ SLO su
 echo
 echo "== artifact schema validation (fresh runs + everything in results/) =="
 python -m repro validate "${ARTIFACT}"
-python -m repro validate "${BACKEND_ARTIFACT}"
 python -m repro validate "${SERVICE_ARTIFACT}"
 python -m repro validate "${SERVE_ARTIFACT}"
 python -m repro validate "${STREAMING_ARTIFACT}"

@@ -22,9 +22,10 @@ def weighted_checksum(values) -> int:
     """Order-sensitive digest of an integer array: ``Σ v[k]·(k+1) mod 2^61-1``.
 
     Cheap enough to compute inline, order-sensitive so permuted results do
-    not collide, and shared by every artifact that compares result identity
-    (backend invariance checks) — the three call sites must stay comparable,
-    so the formula lives here exactly once.
+    not collide, and shared by every artifact that records result identity
+    (the ``answers_checksum`` of the serving, streaming and shard-scaling
+    specs) — those records must stay comparable across runs and commits, so
+    the formula lives here exactly once.
     """
     arr = np.asarray(values, dtype=np.int64)
     if arr.size == 0:

@@ -47,7 +47,6 @@ Examples
     $ python -m repro list
     $ python -m repro run table1 --json results/table1.json
     $ python -m repro run table1 --quick --workers 4 --set delta=0.5
-    $ python -m repro run lis_rounds --quick --backend process
     $ python -m repro serve --requests examples/service_requests.json --repeat 2
     $ python -m repro serve-http --port 8077 --max-inflight 64
     $ python -m repro stream --ticks 16 --window 4096 --workload random --seed 7
@@ -70,7 +69,6 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.report import format_block, format_table
-from ..mpc.engine import backend_names
 from ..service import (
     DEFAULT_CACHE_BYTES,
     IndexCache,
@@ -110,12 +108,6 @@ def _add_service_arguments(parser) -> None:
         "request file's defaults set)",
     )
     parser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default=None,
-        help="execution backend for MPC index builds (wall-clock only)",
-    )
-    parser.add_argument(
         "--delta",
         type=float,
         default=None,
@@ -153,11 +145,10 @@ def _build_cli_service(args, defaults: Dict[str, Any]):
 
     Each serving flag left unset falls back to ``defaults`` (a request
     file's ``defaults`` block; empty for ``serve-http``), then to sequential
-    mode, delta 0.5, no backend, ``DEFAULT_CACHE_BYTES`` and no spill.
+    mode, delta 0.5, ``DEFAULT_CACHE_BYTES`` and no spill.
     """
     mode = args.mode if args.mode is not None else str(defaults.get("mode", "sequential"))
     delta = args.delta if args.delta is not None else float(defaults.get("delta", 0.5))
-    backend = args.backend if args.backend is not None else defaults.get("backend")
     cache_bytes = (
         args.cache_bytes
         if args.cache_bytes is not None
@@ -182,7 +173,6 @@ def _build_cli_service(args, defaults: Dict[str, Any]):
             shards,
             mode=mode,
             delta=delta,
-            backend=backend,
             cache_bytes=cache_bytes,
             spill_dir=spill_dir,
             **extra,
@@ -196,7 +186,6 @@ def _build_cli_service(args, defaults: Dict[str, Any]):
         cache=IndexCache(max_bytes=cache_bytes, spill_dir=spill_dir),
         mode=mode,
         delta=delta,
-        backend=backend,
     )
 
 
@@ -248,13 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--quick", action="store_true", help="use the spec's reduced smoke-test grid")
     run_parser.add_argument("--workers", type=int, default=1, metavar="N", help="process fan-out across grid points")
-    run_parser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default=None,
-        help="execution backend of the simulated clusters (wall-clock only; "
-        "rounds/space/communication accounting is backend-invariant)",
-    )
     run_parser.add_argument(
         "--set",
         action="append",
@@ -399,12 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--non-strict", action="store_true", help="longest non-decreasing instead of strictly increasing (lis)"
     )
     stream_parser.add_argument(
-        "--backend",
-        choices=backend_names(),
-        default=None,
-        help="execution backend for leaf-block builds (wall-clock only)",
-    )
-    stream_parser.add_argument(
         "--artifact",
         default=None,
         metavar="PATH",
@@ -524,24 +500,11 @@ def _cmd_list(as_json: bool, out) -> int:
 def _cmd_run(args, out) -> int:
     spec = get_spec(args.spec)
     overrides = _parse_overrides(args.overrides)
-    fixed_overrides: Optional[Dict[str, Any]] = None
-    if args.backend is not None:
-        if "backend" in overrides:
-            raise ValueError(
-                "--backend conflicts with --set backend=...; pass only one of the two"
-            )
-        if "backend" in spec.grid:
-            # Specs that *sweep* the backend (backend_wallclock) are
-            # restricted to the requested one instead.
-            overrides["backend"] = [args.backend]
-        else:
-            fixed_overrides = {"backend": args.backend}
     result = run_experiment(
         spec,
         quick=args.quick,
         workers=args.workers,
         overrides=overrides or None,
-        fixed_overrides=fixed_overrides,
         run_checks=not args.no_checks,
         raise_on_check_failure=False,
     )
@@ -615,7 +578,6 @@ def _serve_artifact(args, service, batches, seconds: float) -> Dict[str, Any]:
             "repeat": len(batches),
             "mode": stats["mode"],
             "delta": stats["delta"],
-            "backend": stats["backend"],
             "cache_max_bytes": stats["cache"]["max_bytes"],
             "shards": int(stats.get("shards", 0)) if stats.get("sharded") else 0,
         },
@@ -864,7 +826,6 @@ def _stream_artifact(args, session, points, seconds: float) -> Dict[str, Any]:
             "leaf_size": int(args.leaf_size),
             "seed": int(args.seed),
             "strict": not args.non_strict,
-            "backend": args.backend or "serial",
         },
         quick=False,
         workers=1,
@@ -890,7 +851,6 @@ def _cmd_stream(args, out) -> int:
             window=args.window,
             strict=not args.non_strict,
             leaf_size=args.leaf_size,
-            backend=args.backend,
         )
         warm = stream[: args.window]
         describe = f"{args.workload}(n={total}, seed={args.seed})"
@@ -900,7 +860,6 @@ def _cmd_stream(args, out) -> int:
             reference[: args.window],
             window=args.window,
             leaf_size=args.leaf_size,
-            backend=args.backend,
         )
         warm = stream[: args.window]
         describe = f"{args.string_workload}(n={total}, seed={args.seed})"

@@ -83,7 +83,6 @@ def run_experiment(
     quick: bool = False,
     workers: int = 1,
     overrides: Optional[Mapping[str, Sequence[Any]]] = None,
-    fixed_overrides: Optional[Mapping[str, Any]] = None,
     run_checks: bool = True,
     raise_on_check_failure: bool = True,
 ) -> ExperimentResult:
@@ -104,11 +103,6 @@ def run_experiment(
     overrides:
         Replacement value lists for swept grid parameters, e.g.
         ``{"delta": [0.5]}`` to restrict the sweep.
-    fixed_overrides:
-        Replacement values for constant parameters merged into every point
-        (e.g. ``{"backend": "process"}`` — the CLI ``--backend`` flag).  Keys
-        that are swept grid parameters are rejected: override those through
-        ``overrides`` instead.
     run_checks:
         Run the spec's cross-point consistency checks (on by default; the
         checks are part of the reproduction claim).
@@ -122,13 +116,6 @@ def run_experiment(
         spec = get_spec(spec)
     grid = spec.effective_grid(quick=quick, overrides=overrides)
     fixed = spec.effective_fixed(quick=quick)
-    for key, value in (fixed_overrides or {}).items():
-        if key in grid:
-            raise ValueError(
-                f"{key!r} is a swept grid parameter of spec {spec.name!r}; "
-                f"override it with overrides/--set, not fixed_overrides"
-            )
-        fixed[key] = value
     grid_points = expand_grid(grid)
 
     started = time.perf_counter()

@@ -105,13 +105,13 @@ def _table1_algorithm(name: str, epsilon: float) -> Callable[[MPCCluster, np.nda
 
 
 def run_table1_point(
-    algorithm: str, delta: float, n: int, seed: int = 1, epsilon: float = 0.1, backend: str = "serial"
+    algorithm: str, delta: float, n: int, seed: int = 1, epsilon: float = 0.1
 ) -> Dict[str, Any]:
     seq = make_sequence("random", n, seed=seed)
     exact = lis_length(seq)
     fn = _table1_algorithm(algorithm, epsilon)
     try:
-        cluster = MPCCluster(n, delta=delta, backend=backend)
+        cluster = MPCCluster(n, delta=delta)
         value = int(fn(cluster, seq))
         return {
             "label": TABLE1_ALGORITHMS[algorithm],
@@ -158,7 +158,7 @@ register_spec(
         title="Table 1 reproduction: massively parallel LIS algorithms",
         claim="Table 1 (Theorems 1.1-1.3 vs prior work)",
         grid={"delta": [0.25, 0.5], "algorithm": list(TABLE1_ALGORITHMS)},
-        fixed={"n": 4096, "seed": 1, "epsilon": 0.1, "backend": "serial"},
+        fixed={"n": 4096, "seed": 1, "epsilon": 0.1},
         quick_fixed={"n": 512},
         point=run_table1_point,
         columns=["label", "delta", "rounds", "scalable", "answer"],
@@ -180,10 +180,10 @@ MULTIPLY_ALGORITHMS: Dict[str, str] = {
 
 
 def run_multiply_point(
-    algorithm: str, n: int, delta: float, seed: int = 2024, backend: str = "serial"
+    algorithm: str, n: int, delta: float, seed: int = 2024
 ) -> Dict[str, Any]:
     pa, pb = _permutation_pair(n, seed + n)
-    cluster = MPCCluster(n, delta=delta, backend=backend)
+    cluster = MPCCluster(n, delta=delta)
     if algorithm == "this_paper":
         result = mpc_multiply(cluster, pa, pb)
     elif algorithm == "warmup":
@@ -227,7 +227,7 @@ register_spec(
         title="Multiplication rounds vs n (Theorem 1.1)",
         claim="Theorem 1.1 (O(1)-round subunit-Monge multiplication)",
         grid={"n": [1024, 4096, 16384, 65536], "algorithm": list(MULTIPLY_ALGORITHMS)},
-        fixed={"delta": 0.5, "seed": 2024, "backend": "serial"},
+        fixed={"delta": 0.5, "seed": 2024},
         quick_grid={"n": [1024, 4096], "algorithm": list(MULTIPLY_ALGORITHMS)},
         point=run_multiply_point,
         columns=["n", "label", "rounds", "peak_machine_load", "space_per_machine"],
@@ -243,10 +243,10 @@ register_spec(
 
 
 def run_scalability_point(
-    delta: float, workload: str = "random", n: int = 8192, seed: int = 2024, backend: str = "serial"
+    delta: float, workload: str = "random", n: int = 8192, seed: int = 2024
 ) -> Dict[str, Any]:
     pa, pb = _workload_permutation_pair(workload, n, seed)
-    cluster = MPCCluster(n, delta=delta, backend=backend)
+    cluster = MPCCluster(n, delta=delta)
     mpc_multiply(cluster, pa, pb)
     summary = stats_summary(cluster.stats)
     assert summary["peak_machine_load"] <= summary["space_per_machine"], (
@@ -278,7 +278,7 @@ register_spec(
             "delta": [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
             "workload": ["random", "zipfian", "block_sorted_noisy", "adversarial_alternating"],
         },
-        fixed={"n": 8192, "seed": 2024, "backend": "serial"},
+        fixed={"n": 8192, "seed": 2024},
         quick_grid={"delta": [0.25, 0.5, 0.75], "workload": ["random", "zipfian"]},
         quick_fixed={"n": 1024},
         point=run_scalability_point,
@@ -294,12 +294,12 @@ register_spec(
 # E4 — Theorem 1.3: exact LIS round growth vs the CHS23-style baseline.
 
 
-def run_lis_rounds_point(workload: str, n: int, delta: float, backend: str = "serial") -> Dict[str, Any]:
+def run_lis_rounds_point(workload: str, n: int, delta: float) -> Dict[str, Any]:
     seq = make_sequence(workload, n, seed=n)
     expected = lis_length(seq)
-    ours = MPCCluster(n, delta=delta, backend=backend)
+    ours = MPCCluster(n, delta=delta)
     assert mpc_lis_length(ours, seq) == expected, "this paper's LIS is not exact"
-    chs = MPCCluster(n, delta=delta, backend=backend)
+    chs = MPCCluster(n, delta=delta)
     assert chs23_lis_length(chs, seq) == expected, "CHS23 baseline LIS is not exact"
     return {
         "lis": expected,
@@ -329,7 +329,7 @@ register_spec(
         title="Exact LIS rounds vs n (Theorem 1.3)",
         claim="Theorem 1.3 (exact LIS in O(log n) rounds)",
         grid={"workload": ["random", "planted"], "n": [512, 2048, 8192]},
-        fixed={"delta": 0.5, "backend": "serial"},
+        fixed={"delta": 0.5},
         quick_grid={"workload": ["random", "planted"], "n": [512, 1024]},
         point=run_lis_rounds_point,
         columns=["workload", "n", "lis", "rounds", "rounds_chs23"],
@@ -368,9 +368,7 @@ def sequential_case_callable(task: str, n: int) -> Callable[[], Any]:
     raise KeyError(f"unknown sequential task {task!r}")
 
 
-def _sequential_point(case: Any, backend: str = "serial") -> Dict[str, Any]:
-    # `backend` is accepted for CLI uniformity (`--backend` works on every
-    # spec) but unused: the sequential substrate has no cluster to schedule.
+def _sequential_point(case: Any) -> Dict[str, Any]:
     if not isinstance(case, dict) or not {"task", "n"} <= set(case):
         raise ValueError(
             "the sequential experiment's grid values are objects like "
@@ -429,7 +427,6 @@ register_spec(
             ]
         },
         point=_sequential_point,
-        fixed={"backend": "serial"},
         columns=["task", "n", "kernel_seconds", "ok"],
         checks=check_sequential,
         timer=timer_sequential,
@@ -453,7 +450,7 @@ LCS_WORKLOADS: Dict[str, Dict[str, Any]] = {
 }
 
 
-def run_lcs_point(workload: str, n: int, backend: str = "serial") -> Dict[str, Any]:
+def run_lcs_point(workload: str, n: int) -> Dict[str, Any]:
     try:
         case = LCS_WORKLOADS[workload]
     except KeyError:
@@ -468,7 +465,7 @@ def run_lcs_point(workload: str, n: int, backend: str = "serial") -> Dict[str, A
         seed = n + case["alphabet"]
     s, t = make_string_pair(case["workload"], n, seed=seed, **kwargs)
     matches = count_matches(s, t)
-    cluster = lcs_cluster_for(len(s), len(t), matches, backend=backend)
+    cluster = lcs_cluster_for(len(s), len(t), matches)
     result = mpc_lcs_length(cluster, s, t)
     assert result.length == lcs_length_dp(s, t), f"MPC LCS is not exact on {workload}"
     return {
@@ -493,7 +490,7 @@ register_spec(
         title="LCS via Hunt-Szymanski (Corollary 1.3.1)",
         claim="Corollary 1.3.1 (exact LCS in O(log n) rounds)",
         grid={"workload": list(LCS_WORKLOADS)},
-        fixed={"n": 256, "backend": "serial"},
+        fixed={"n": 256},
         quick_fixed={"n": 96},
         point=run_lcs_point,
         columns=["label", "matches", "machines", "space_per_machine", "rounds", "lcs"],
@@ -507,12 +504,12 @@ register_spec(
 # E7 — Communication volume per round of the MPC algorithms.
 
 
-def run_communication_point(n: int, delta: float, seed: int = 2024, backend: str = "serial") -> Dict[str, Any]:
+def run_communication_point(n: int, delta: float, seed: int = 2024) -> Dict[str, Any]:
     pa, pb = _permutation_pair(n, seed + n)
-    mult = MPCCluster(n, delta=delta, backend=backend)
+    mult = MPCCluster(n, delta=delta)
     mpc_multiply(mult, pa, pb)
     seq = make_sequence("random", n, seed=n)
-    lis = MPCCluster(n, delta=delta, backend=backend)
+    lis = MPCCluster(n, delta=delta)
     mpc_lis_length(lis, seq)
     return {
         "multiply_total": mult.stats.total_communication,
@@ -535,7 +532,7 @@ register_spec(
         title="Total communication (words): multiply and LIS",
         claim="communication accounting of Theorems 1.1 / 1.3",
         grid={"n": [1024, 4096, 16384]},
-        fixed={"delta": 0.5, "seed": 2024, "backend": "serial"},
+        fixed={"delta": 0.5, "seed": 2024},
         quick_grid={"n": [1024, 4096]},
         point=run_communication_point,
         columns=[
@@ -557,12 +554,11 @@ register_spec(
 
 
 def run_fanin_point(
-    fanin: int, workload: str = "random", n: int = 8192, delta: float = 0.5,
-    seed: int = 2024, backend: str = "serial",
+    fanin: int, workload: str = "random", n: int = 8192, delta: float = 0.5, seed: int = 2024
 ) -> Dict[str, Any]:
     """One fan-in measurement: ``fanin`` sweeps the MPC combine's H."""
     pa, pb = _workload_permutation_pair(workload, n, seed)
-    cluster = MPCCluster(n, delta=delta, backend=backend)
+    cluster = MPCCluster(n, delta=delta)
     config = MongeMPCConfig(fanin=fanin, tree_arity=fanin)
     product = mpc_multiply(cluster, pa, pb, config)
     assert product == multiply_permutations(pa, pb), f"wrong product at fan-in {fanin} ({workload})"
@@ -602,7 +598,7 @@ register_spec(
             "fanin": [2, 4, 8, 16],
             "workload": ["random", "zipfian", "block_sorted_noisy", "adversarial_alternating"],
         },
-        fixed={"n": 8192, "delta": 0.5, "seed": 2024, "backend": "serial"},
+        fixed={"n": 8192, "delta": 0.5, "seed": 2024},
         quick_grid={"fanin": [2, 4, 8, 16], "workload": ["random", "adversarial_alternating"]},
         quick_fixed={"n": 1024},
         point=run_fanin_point,
@@ -631,10 +627,10 @@ def _space_overhead_inputs(n: int, num_blocks: int, seed: int):
 
 
 def run_space_overhead_point(
-    grid_size: int, n: int, num_blocks: int, delta: float, seed: int = 2024, backend: str = "serial"
+    grid_size: int, n: int, num_blocks: int, delta: float, seed: int = 2024
 ) -> Dict[str, Any]:
     expected, rows_, cols_, colors_ = _space_overhead_inputs(n, num_blocks, seed)
-    cluster = MPCCluster(n, delta=delta, backend=backend)
+    cluster = MPCCluster(n, delta=delta)
     merged, report = mpc_combine(
         cluster, rows_, cols_, colors_, num_blocks, n, MongeMPCConfig(grid_size=grid_size)
     )
@@ -662,7 +658,7 @@ register_spec(
         title="Grid-size / subgrid space-overhead ablation",
         claim="Section 3.3 (subgrid instance packaging overhead)",
         grid={"grid_size": [16, 32, 64, 128]},
-        fixed={"n": 4096, "num_blocks": 4, "delta": 0.5, "seed": 2024, "backend": "serial"},
+        fixed={"n": 4096, "num_blocks": 4, "delta": 0.5, "seed": 2024},
         quick_grid={"grid_size": [16, 32]},
         quick_fixed={"n": 1024},
         point=run_space_overhead_point,
@@ -676,88 +672,6 @@ register_spec(
         ],
         timer=timer_space_overhead,
         bench_file="benchmarks/bench_space_overhead.py",
-    )
-)
-
-
-# ----------------------------------------------------------- backend_wallclock
-# E10 — Execution engine: wall-clock and accounting identity across backends.
-
-
-def run_backend_wallclock_point(backend: str, n: int, delta: float, seed: int = 2024) -> Dict[str, Any]:
-    import os
-
-    pa, pb = _permutation_pair(n, seed + n)
-    cluster = MPCCluster(n, delta=delta, backend=backend)
-    started = time.perf_counter()
-    result = mpc_multiply(cluster, pa, pb)
-    multiply_seconds = time.perf_counter() - started
-
-    seq = make_sequence("random", n, seed=seed)
-    lis_cluster = MPCCluster(n, delta=delta, backend=backend)
-    started = time.perf_counter()
-    lis_value = mpc_lis_length(lis_cluster, seq)
-    lis_seconds = time.perf_counter() - started
-
-    # A cheap order-sensitive digest of the product; identical across backends
-    # iff the output permutations are bit-identical.
-    checksum = weighted_checksum(result.row_to_col)
-    return {
-        "backend": backend,
-        "multiply_seconds": multiply_seconds,
-        "lis_seconds": lis_seconds,
-        "rounds": cluster.stats.num_rounds,
-        "total_communication": cluster.stats.total_communication,
-        "peak_machine_load": cluster.stats.peak_machine_load,
-        "lis_rounds": lis_cluster.stats.num_rounds,
-        "lis": int(lis_value),
-        "product_checksum": checksum,
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def check_backend_wallclock(points: List[PointResult]) -> None:
-    # The scientific assertion: backends change wall-clock only.  All points
-    # of one run share the same fixed n, so every simulated quantity must be
-    # identical across the swept backends.
-    invariant = ("rounds", "total_communication", "peak_machine_load", "lis_rounds", "lis", "product_checksum")
-    rows = [point.row() for point in points]
-    reference = rows[0]
-    for row in rows[1:]:
-        for key in invariant:
-            assert row[key] == reference[key], (
-                f"backend {row['backend']} diverges from {reference['backend']} "
-                f"on {key}: {row[key]} != {reference[key]}"
-            )
-
-
-def timer_backend_wallclock() -> Callable[[], Any]:
-    n, delta = 4096, 0.5
-    pa, pb = _permutation_pair(n, 2024 + n)
-    return lambda: mpc_multiply(MPCCluster(n, delta=delta, backend="process"), pa, pb)
-
-
-register_spec(
-    ExperimentSpec(
-        name="backend_wallclock",
-        title="Execution-backend wall-clock comparison (serial vs thread vs process)",
-        claim="execution-engine invariant: backends change wall-clock only",
-        grid={"backend": ["serial", "thread", "process"]},
-        fixed={"n": 16384, "delta": 0.5, "seed": 2024},
-        quick_fixed={"n": 2048},
-        point=run_backend_wallclock_point,
-        columns=[
-            "backend",
-            "multiply_seconds",
-            "lis_seconds",
-            "rounds",
-            "peak_machine_load",
-            "product_checksum",
-            "cpu_count",
-        ],
-        checks=check_backend_wallclock,
-        timer=timer_backend_wallclock,
-        bench_file="benchmarks/bench_backend_wallclock.py",
     )
 )
 
@@ -777,7 +691,6 @@ def _service_query_windows(n: int, batch: int, seed: int):
 def run_service_throughput_point(
     workload: str,
     batch: int,
-    backend: str,
     n: int = 4096,
     seed: int = 7,
     delta: float = 0.5,
@@ -794,7 +707,7 @@ def run_service_throughput_point(
     """
     i_arr, j_arr = _service_query_windows(n, batch, seed)
     target = TargetSpec(kind="sequence", workload=workload, n=n, seed=seed)
-    service = QueryService(cache=IndexCache(), mode=mode, delta=delta, backend=backend)
+    service = QueryService(cache=IndexCache(), mode=mode, delta=delta)
     requests = [
         QueryRequest(op="substring_query", target=target, request_id="batch", i=i_arr, j=j_arr)
     ]
@@ -809,7 +722,7 @@ def run_service_throughput_point(
     naive_sample = max(1, int(naive_sample))
     naive_started = time.perf_counter()
     for q in range(naive_sample):
-        rebuilt = build_lis_index(sequence, mode=mode, delta=delta, backend=backend)
+        rebuilt = build_lis_index(sequence, mode=mode, delta=delta)
         value = int(rebuilt.query_substrings(i_arr[q % batch], j_arr[q % batch])[0])
         assert value == int(answers[q % batch]), "naive rebuild disagrees with cached index"
     naive_per_query = (time.perf_counter() - naive_started) / naive_sample
@@ -835,24 +748,19 @@ def run_service_throughput_point(
 
 
 def check_service_throughput(points: List[PointResult]) -> None:
-    # (1) Answers are bit-identical across execution backends; (2) cached
-    # batch serving beats rebuild-per-query by >= 10x at production sizes.
-    by_case: Dict[Any, Dict[str, Any]] = {}
+    # Every point checked sampled answers against a from-scratch rebuild; here,
+    # the cache was exercised and cached batch serving beats
+    # rebuild-per-query by >= 10x at production sizes.
     for point in points:
         row = point.row()
         case = (row["workload"], row["batch"])
-        reference = by_case.setdefault(case, row)
-        assert row["answers_checksum"] == reference["answers_checksum"], (
-            f"backend {row['backend']} answers diverge from {reference['backend']} "
-            f"on {case}: {row['answers_checksum']} != {reference['answers_checksum']}"
-        )
         assert row["cache_hits"] >= 1 and row["cache_misses"] >= 1, (
-            f"cache counters not exercised on {case} ({row['backend']})"
+            f"cache counters not exercised on {case}"
         )
         if row["n"] >= 4096:
             assert row["speedup"] >= 10.0, (
                 f"cached batch serving must be >= 10x rebuild-per-query at "
-                f"n={row['n']}, got {row['speedup']:.1f}x on {case} ({row['backend']})"
+                f"n={row['n']}, got {row['speedup']:.1f}x on {case}"
             )
 
 
@@ -900,7 +808,6 @@ def _streaming_oracle_answers(window: np.ndarray, x, y, strict: bool):
 
 def run_streaming_throughput_point(
     workload: str,
-    backend: str,
     n: int = 4096,
     ticks: int = 12,
     slide: int = 64,
@@ -920,7 +827,7 @@ def run_streaming_throughput_point(
     is also compared bit-for-bit against the aggregator's root product.
     """
     stream = make_sequence(workload, n + ticks * slide, seed=seed).astype(np.float64)
-    session = StreamingLIS(window=n, strict=strict, leaf_size=leaf_size, backend=backend)
+    session = StreamingLIS(window=n, strict=strict, leaf_size=leaf_size)
     warm_started = time.perf_counter()
     session.append(stream[:n])
     session.lis_length()
@@ -972,24 +879,16 @@ def run_streaming_throughput_point(
 
 
 def check_streaming_throughput(points: List[PointResult]) -> None:
-    # (1) Every tick answer is checksum-identical across execution backends
-    # (the per-tick DP-oracle identity is asserted inside the point itself);
-    # (2) the slide path genuinely recombines rather than rebuilding; (3) the
+    # Every point checked each tick against the DP oracle; here, (1) the
+    # slide path genuinely recombines rather than rebuilding and (2) the
     # amortised tick beats rebuild-per-tick by >= 10x at production sizes.
-    by_case: Dict[Any, Dict[str, Any]] = {}
     for point in points:
         row = point.row()
-        reference = by_case.setdefault(row["workload"], row)
-        assert row["answers_checksum"] == reference["answers_checksum"], (
-            f"backend {row['backend']} answers diverge from {reference['backend']} "
-            f"on {row['workload']}: {row['answers_checksum']} != {reference['answers_checksum']}"
-        )
         assert row["blocks_rebuilt"] >= 1, f"no leaf blocks rebuilt on {row['workload']}"
         if row["n"] >= 4096:
             assert row["speedup"] >= 10.0, (
                 f"amortised sliding tick must be >= 10x faster than rebuild-per-tick "
-                f"at n={row['n']}, got {row['speedup']:.1f}x on {row['workload']} "
-                f"({row['backend']})"
+                f"at n={row['n']}, got {row['speedup']:.1f}x on {row['workload']}"
             )
 
 
@@ -1016,10 +915,7 @@ register_spec(
         name="streaming_throughput",
         title="Streaming sliding-window recomposition vs rebuild-per-tick",
         claim="monoid recomposition of Theorem 1.3 products (streaming workloads)",
-        grid={
-            "workload": ["random", "near_sorted"],
-            "backend": ["serial", "thread", "process"],
-        },
+        grid={"workload": ["random", "near_sorted"]},
         fixed={
             "n": 4096,
             "ticks": 12,
@@ -1030,12 +926,11 @@ register_spec(
             "strict": True,
             "rebuild_sample": 2,
         },
-        quick_grid={"workload": ["random"], "backend": ["serial", "thread", "process"]},
+        quick_grid={"workload": ["random"]},
         quick_fixed={"n": 512, "ticks": 6, "slide": 32, "rebuild_sample": 1},
         point=run_streaming_throughput_point,
         columns=[
             "workload",
-            "backend",
             "amortised_tick_seconds",
             "rebuild_per_tick_seconds",
             "speedup",
@@ -1055,23 +950,14 @@ register_spec(
         name="service_throughput",
         title="Query-serving throughput: cached batches vs rebuild-per-query",
         claim="serving amortisation of Theorem 1.3 / Corollary 1.3.2 build products",
-        grid={
-            "workload": ["random", "near_sorted"],
-            "batch": [64, 256],
-            "backend": ["serial", "thread", "process"],
-        },
+        grid={"workload": ["random", "near_sorted"], "batch": [64, 256]},
         fixed={"n": 4096, "seed": 7, "delta": 0.5, "naive_sample": 1, "mode": "mpc"},
-        quick_grid={
-            "workload": ["random"],
-            "batch": [32],
-            "backend": ["serial", "thread", "process"],
-        },
+        quick_grid={"workload": ["random"], "batch": [32]},
         quick_fixed={"n": 512},
         point=run_service_throughput_point,
         columns=[
             "workload",
             "batch",
-            "backend",
             "cached_qps",
             "naive_qps",
             "speedup",

@@ -38,14 +38,12 @@ def lcs_cluster_for(
     t_length: int,
     num_matches: int,
     delta: float = 0.5,
-    backend: Optional[str] = None,
 ) -> MPCCluster:
     """A cluster sized for the Hunt–Szymanski instance (Õ(n²) total space).
 
     Corollary 1.3.1 assumes ``n^{1+δ}`` machines of ``Õ(n^{1-δ})`` space; this
     helper provisions a cluster whose total space fits all matching pairs
     while keeping the per-machine space at ``Õ(n^{1-δ})`` for ``n = |S|+|T|``.
-    ``backend`` selects the execution backend (wall-clock only).
     """
     n = max(1, s_length + t_length)
     space = max(32, math.ceil(2 * (n ** (1.0 - delta)) * max(1.0, math.log2(max(n, 2)))))
@@ -53,7 +51,7 @@ def lcs_cluster_for(
     # pair of blocks plus the sort/tree working state (a small constant factor
     # over the raw match count).
     machines = max(1, math.ceil(6 * max(num_matches, n) / space) + 1)
-    return MPCCluster(n, delta, num_machines=machines, space_per_machine=space, backend=backend)
+    return MPCCluster(n, delta, num_machines=machines, space_per_machine=space)
 
 
 def mpc_lcs_length(

@@ -114,8 +114,6 @@ def mpc_lis_matrix(
     baselines plug their own multipliers in here).
     """
     if multiply_fn is None:
-        # A partial of a module-level function (not a closure) so the process
-        # backend can ship merge tasks to worker processes.
         multiply_fn = functools.partial(_default_merge_multiply, config=config)
 
     ranks = rank_transform(sequence, strict=strict)
@@ -153,9 +151,8 @@ def mpc_lis_matrix(
     cluster.stats.local_operations += n
 
     # --- merge phase: binary tree of O(1)-round merges -----------------------
-    # Every level is one parallel batch: the pairs are independent fork-groups
-    # that the execution backend runs concurrently (threads/processes), with
-    # max-rounds / sum-words parallel-composition accounting at the join.
+    # Every level is one parallel batch: the pairs are independent fork-groups,
+    # with max-rounds / sum-words parallel-composition accounting at the join.
     merge_levels = 0
     while len(blocks) > 1:
         merge_levels += 1

@@ -2,15 +2,6 @@
 
 from .accounting import ClusterStats, RoundRecord
 from .cluster import DistributedArray, MPCCluster
-from .engine import (
-    DEFAULT_BACKEND,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    backend_names,
-    resolve_backend,
-)
 from .errors import MachineCountError, MPCError, ScalabilityError, SpaceExceededError
 from .primitives import (
     broadcast,
@@ -25,13 +16,6 @@ __all__ = [
     "RoundRecord",
     "DistributedArray",
     "MPCCluster",
-    "DEFAULT_BACKEND",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "backend_names",
-    "resolve_backend",
     "MPCError",
     "SpaceExceededError",
     "ScalabilityError",

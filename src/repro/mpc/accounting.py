@@ -97,10 +97,8 @@ class ClusterStats:
     def fingerprint(self) -> tuple:
         """A hashable digest of everything the accounting layer records.
 
-        Two executions of the same algorithm must produce equal fingerprints
-        regardless of the execution backend (serial/thread/process) — the
-        test-suite compares these to enforce that backends feed the
-        accounting layer identically, round by round.
+        The simulator is deterministic: two executions of the same algorithm
+        on the same input produce equal fingerprints, round by round.
         """
         return (
             self.num_machines,

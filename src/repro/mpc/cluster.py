@@ -11,23 +11,16 @@ cluster operation
   :class:`~repro.mpc.errors.SpaceExceededError` otherwise,
 * records the peak per-machine load for the scalability experiments.
 
-The cluster is split into two layers (see :mod:`repro.mpc.engine`):
-
-* **accounting** — :class:`~repro.mpc.accounting.ClusterStats` plus the space
-  checks below.  Rounds and loads are always derived from deterministic
-  quantities (chunk sizes, word counts), so every backend feeds this layer
-  identically.
-* **execution** — a pluggable :class:`~repro.mpc.engine.ExecutionBackend`.
-  Primitives are phrased as *local phases* (per-machine chunk work, run
-  through ``backend.map_local`` and therefore parallelisable) stitched
-  together by *explicit exchange steps* (the communication the round charges
-  pay for).  The simulated data placement is the real data placement: no
-  primitive materialises the global array as an intermediate.
-  ``fork()``/``join()`` machine groups execute truly in parallel under the
-  thread/process backends via :meth:`MPCCluster.run_forked`.
-
-The paper's results are statements about rounds and space; the backends only
-change wall-clock behaviour, never any simulated quantity.
+Rounds and loads are always derived from deterministic quantities (chunk
+sizes, word counts) and recorded in
+:class:`~repro.mpc.accounting.ClusterStats`.  Primitives are phrased as
+*local phases* (per-machine chunk work, one loop over the machines)
+stitched together by *explicit exchange steps* (the communication the round
+charges pay for).  The simulated data placement is the real data placement:
+no primitive materialises the global array as an intermediate.
+``fork()``/``join()`` machine groups run one after another in the driver,
+and :meth:`MPCCluster.join` composes their statistics as if they had run in
+parallel.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .accounting import ClusterStats
-from .engine import ExecutionBackend, GroupTask, resolve_backend
 from .errors import MachineCountError, SpaceExceededError
 
 __all__ = ["DistributedArray", "MPCCluster"]
@@ -54,9 +46,7 @@ RANK_SEARCH_ROUNDS = SORT_ROUNDS + PREFIX_SUM_ROUNDS_PER_LEVEL + ROUTE_ROUNDS
 
 
 # --------------------------------------------------------------------------
-# Local phases of the primitives.  Module-level (picklable) functions of one
-# machine's data, executed through ``backend.map_local`` — the execution
-# backend may run them concurrently, so they must not touch shared state.
+# Local phases of the primitives: functions of one machine's data.
 # --------------------------------------------------------------------------
 
 
@@ -66,76 +56,38 @@ def _split_like(array: np.ndarray, sizes: Sequence[int]) -> List[np.ndarray]:
     return [array[bounds[i] : bounds[i + 1]] for i in range(len(sizes))]
 
 
-def _local_sort_run(item: Tuple[np.ndarray, np.ndarray], index: int) -> Tuple[np.ndarray, np.ndarray]:
+def _local_sort_run(values: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Stable-sort one machine's (values, keys) chunk by key."""
-    values, keys = item
     order = np.argsort(keys, kind="stable")
     return values[order], keys[order]
 
 
 def _local_bucket_by_destination(
-    item: Tuple[np.ndarray, np.ndarray, int], index: int
-) -> List[np.ndarray]:
-    """Split one machine's payload into per-destination segments (stable)."""
-    payload, destinations, num_machines = item
+    destinations: np.ndarray, num_machines: int, *columns: np.ndarray
+) -> List[Tuple[np.ndarray, ...]]:
+    """Split one machine's columns into per-destination segments with a
+    single stable bucketing pass: one tuple of column slices per machine."""
     order = np.argsort(destinations, kind="stable")
-    sorted_payload = payload[order]
-    sorted_dest = destinations[order]
-    boundaries = np.searchsorted(sorted_dest, np.arange(num_machines + 1))
-    return [sorted_payload[boundaries[p] : boundaries[p + 1]] for p in range(num_machines)]
-
-
-def _local_bucket_pairs_by_destination(
-    item: Tuple[np.ndarray, np.ndarray, np.ndarray, int], index: int
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split one machine's (value, companion) pairs into per-destination
-    segments with a single stable bucketing pass."""
-    values, companions, destinations, num_machines = item
-    order = np.argsort(destinations, kind="stable")
-    sorted_values = values[order]
-    sorted_companions = companions[order]
-    sorted_dest = destinations[order]
-    boundaries = np.searchsorted(sorted_dest, np.arange(num_machines + 1))
+    boundaries = np.searchsorted(destinations[order], np.arange(num_machines + 1))
+    sorted_columns = [column[order] for column in columns]
     return [
-        (
-            sorted_values[boundaries[p] : boundaries[p + 1]],
-            sorted_companions[boundaries[p] : boundaries[p + 1]],
-        )
+        tuple(column[boundaries[p] : boundaries[p + 1]] for column in sorted_columns)
         for p in range(num_machines)
     ]
 
 
-def _local_prefix_state(chunk: np.ndarray, index: int) -> Tuple[int, np.ndarray]:
+def _local_prefix_state(chunk: np.ndarray) -> Tuple[int, np.ndarray]:
     """One machine's contribution to a prefix sum: (chunk total, local scan)."""
-    values = np.asarray(chunk, dtype=np.int64)
-    local = np.cumsum(values)
+    local = np.cumsum(np.asarray(chunk, dtype=np.int64))
     total = int(local[-1]) if len(local) else 0
     return total, local
 
 
-def _local_prefix_finish(
-    item: Tuple[np.ndarray, np.ndarray, int, bool], index: int
-) -> np.ndarray:
-    """Apply the machine's global offset to its local scan."""
-    values, local_inclusive, offset, exclusive = item
-    inclusive = local_inclusive + offset
-    return inclusive - np.asarray(values, dtype=np.int64) if exclusive else inclusive
-
-
-def _local_scatter_inverse(
-    item: Tuple[int, int, np.ndarray, np.ndarray], index: int
-) -> np.ndarray:
+def _local_scatter_inverse(size: int, base: int, values: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Place received (value, source-index) pairs of an inversion locally."""
-    size, base, values, sources = item
     chunk = np.empty(size, dtype=np.int64)
     chunk[values - base] = sources
     return chunk
-
-
-def _local_rank_queries(item: Tuple[np.ndarray, np.ndarray], index: int) -> np.ndarray:
-    """Answer one machine's rank queries against the (broadcast) sorted data."""
-    sorted_data, queries = item
-    return np.searchsorted(sorted_data, queries, side="left")
 
 
 class DistributedArray:
@@ -175,12 +127,9 @@ class DistributedArray:
         return np.concatenate(self.chunks)
 
     def map_chunks(self, fn: Callable[[np.ndarray, int], np.ndarray], label: str = "map") -> "DistributedArray":
-        """Apply a local (per-machine) function to every chunk; no round cost.
-
-        The chunks are mapped through the cluster's execution backend, so
-        thread/process backends run the per-machine work concurrently.
-        """
-        new_chunks = self.cluster.backend.map_local(fn, self.chunks)
+        """Apply a local (per-machine) function ``fn(chunk, machine)`` to
+        every chunk; no round cost."""
+        new_chunks = [fn(chunk, index) for index, chunk in enumerate(self.chunks)]
         self.cluster.stats.local_operations += self.total_size
         return DistributedArray(self.cluster, new_chunks, label=label)
 
@@ -213,11 +162,6 @@ class MPCCluster:
     strict_space:
         When false, space violations are recorded (peak load) but do not
         raise; used by the space-overhead ablation benchmark.
-    backend:
-        Execution backend: ``None``/``"serial"`` (default), ``"thread"``,
-        ``"process"`` or an :class:`~repro.mpc.engine.ExecutionBackend`
-        instance.  Backends change wall-clock behaviour only — accounting is
-        bit-identical across all of them.
     """
 
     def __init__(
@@ -230,7 +174,6 @@ class MPCCluster:
         space_slack: float = 2.0,
         polylog_exponent: float = 1.0,
         strict_space: bool = True,
-        backend: Union[None, str, ExecutionBackend] = None,
     ) -> None:
         if not (0.0 < delta < 1.0):
             raise ValueError("delta must lie strictly between 0 and 1")
@@ -241,7 +184,6 @@ class MPCCluster:
         self.space_slack = float(space_slack)
         self.polylog_exponent = float(polylog_exponent)
         self.strict_space = bool(strict_space)
-        self.backend = resolve_backend(backend)
 
         if num_machines is None:
             num_machines = max(1, math.ceil(n ** delta))
@@ -256,19 +198,6 @@ class MPCCluster:
         self.stats = ClusterStats(
             num_machines=self.num_machines, space_per_machine=self.space_per_machine
         )
-
-    # -------------------------------------------------------------- pickling
-    # Backends are process-local (pools, executors); a pickled cluster always
-    # deserialises with the serial backend so worker processes never spawn
-    # nested pools.  Accounting state travels unchanged.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["backend"] = "serial"
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.backend = resolve_backend(state.get("backend"))
 
     # ------------------------------------------------------------------ misc
     @property
@@ -380,16 +309,13 @@ class MPCCluster:
         dest_chunks = _split_like(destinations, darr.chunk_sizes)
 
         # Local phase: per-machine bucketing (stable within each machine).
-        buckets = self.backend.map_local(
-            _local_bucket_by_destination,
-            [
-                (payload_chunks[q], dest_chunks[q], self.num_machines)
-                for q in range(len(payload_chunks))
-            ],
-        )
+        buckets = [
+            _local_bucket_by_destination(dest, self.num_machines, chunk)
+            for chunk, dest in zip(payload_chunks, dest_chunks)
+        ]
         # Exchange: one all-to-all round.
         chunks = [
-            np.concatenate([bucket[p] for bucket in buckets])
+            np.concatenate([bucket[p][0] for bucket in buckets])
             if buckets
             else np.empty(0, dtype=np.int64)
             for p in range(self.num_machines)
@@ -425,9 +351,7 @@ class MPCCluster:
             key_chunks = _split_like(keys, darr.chunk_sizes)
 
         # Local phase: per-machine stable sorts.
-        runs = self.backend.map_local(
-            _local_sort_run, list(zip(darr.chunks, key_chunks))
-        )
+        runs = [_local_sort_run(values, keys_) for values, keys_ in zip(darr.chunks, key_chunks)]
         # Exchange: merge the sorted runs.  Stable-sorting the concatenation
         # of locally-stable runs breaks ties by (machine, original position),
         # i.e. exactly the global stable order.
@@ -464,18 +388,15 @@ class MPCCluster:
         machine offsets its local scan by its global prefix.
         """
         # Local phase 1: per-machine totals and local scans.
-        states = self.backend.map_local(_local_prefix_state, darr.chunks)
+        states = [_local_prefix_state(chunk) for chunk in darr.chunks]
         totals = np.array([total for total, _ in states], dtype=np.int64)
         # Exchange: exclusive scan of the m chunk totals over the machine tree.
         offsets = np.cumsum(totals) - totals
         # Local phase 2: apply the offsets.
-        chunks = self.backend.map_local(
-            _local_prefix_finish,
-            [
-                (darr.chunks[p], states[p][1], int(offsets[p]), exclusive)
-                for p in range(len(darr.chunks))
-            ],
-        )
+        chunks = []
+        for chunk, (_, local), offset in zip(darr.chunks, states, offsets):
+            inclusive = local + int(offset)
+            chunks.append(inclusive - np.asarray(chunk, dtype=np.int64) if exclusive else inclusive)
         depth = self.tree_depth()
         for _ in range(depth * PREFIX_SUM_ROUNDS_PER_LEVEL):
             self.charge_round(
@@ -499,18 +420,15 @@ class MPCCluster:
 
         # Local phase: bucket (value, source index) pairs by target machine
         # in one pass per chunk.
-        buckets = self.backend.map_local(
-            _local_bucket_pairs_by_destination,
-            [
-                (
-                    darr.chunks[q],
-                    np.arange(chunk_starts[q], chunk_starts[q + 1], dtype=np.int64),
-                    np.searchsorted(bounds, darr.chunks[q], side="right") - 1,
-                    self.num_machines,
-                )
-                for q in range(len(darr.chunks))
-            ],
-        )
+        buckets = [
+            _local_bucket_by_destination(
+                np.searchsorted(bounds, chunk, side="right") - 1,
+                self.num_machines,
+                chunk,
+                np.arange(chunk_starts[q], chunk_starts[q + 1], dtype=np.int64),
+            )
+            for q, chunk in enumerate(darr.chunks)
+        ]
         # Exchange + local scatter.
         received = [
             (
@@ -525,7 +443,7 @@ class MPCCluster:
             )
             for p in range(self.num_machines)
         ]
-        chunks = self.backend.map_local(_local_scatter_inverse, received)
+        chunks = [_local_scatter_inverse(*item) for item in received]
         max_load = max((len(c) for c in chunks), default=0)
         self.charge_round(label, words=n, max_load=max_load)
         return DistributedArray(self, chunks, label=label)
@@ -553,9 +471,7 @@ class MPCCluster:
             else np.empty(0, dtype=np.int64)
         )
         # Local phase: each machine answers its own query chunk.
-        chunks = self.backend.map_local(
-            _local_rank_queries, [(sorted_data, chunk) for chunk in queries.chunks]
-        )
+        chunks = [np.searchsorted(sorted_data, chunk, side="left") for chunk in queries.chunks]
         total = data.total_size + queries.total_size
         max_load = max(
             max(data.chunk_sizes, default=0) + max(queries.chunk_sizes, default=0),
@@ -573,11 +489,10 @@ class MPCCluster:
         """Split the cluster into ``groups`` sub-clusters that run in parallel.
 
         Machines are divided as evenly as possible (at least one machine per
-        group); the sub-clusters keep the same per-machine space budget and
-        inherit the parent's execution backend.  Use :meth:`join` afterwards
-        to absorb their statistics with max-round (parallel composition)
-        semantics — or :meth:`run_forked`, which forks, executes the group
-        tasks on the backend (concurrently for thread/process) and joins.
+        group) and keep the same per-machine space budget.  Use :meth:`join`
+        afterwards to absorb their statistics with max-round (parallel
+        composition) semantics — or :meth:`run_forked`, which forks, runs
+        one task per group and joins.
         """
         groups = max(1, int(groups))
         per_group = [
@@ -594,7 +509,6 @@ class MPCCluster:
                 space_slack=self.space_slack,
                 polylog_exponent=self.polylog_exponent,
                 strict_space=self.strict_space,
-                backend=self.backend,
             )
             children.append(child)
         return children
@@ -603,22 +517,20 @@ class MPCCluster:
         """Absorb the statistics of sub-clusters created by :meth:`fork`."""
         self.stats.absorb_parallel([child.stats for child in children], label=label)
 
-    def run_forked(self, tasks: Sequence[GroupTask], label: str = "fork") -> List[Any]:
+    def run_forked(
+        self, tasks: Sequence[Tuple[Callable[..., Any], tuple]], label: str = "fork"
+    ) -> List[Any]:
         """Fork one sub-cluster per task, run the tasks, join the statistics.
 
-        ``tasks`` is a sequence of ``(fn, args)`` or ``(fn, args, kwargs)``
-        tuples; each is invoked as ``fn(child_cluster, *args, **kwargs)``.
-        The execution backend runs the tasks (concurrently under the
-        thread/process backends; for the process backend ``fn`` and its
-        arguments must be picklable — unpicklable tasks fall back to
-        in-process execution).  Results are returned in task order and the
-        children's statistics are absorbed with parallel-composition
-        semantics, so accounting is identical across backends.
+        ``tasks`` is a sequence of ``(fn, args)`` pairs; each is invoked as
+        ``fn(child_cluster, *args)``.  Results are returned in task order and
+        the children's statistics are absorbed with parallel-composition
+        semantics.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         children = self.fork(len(tasks), label=label)
-        results = self.backend.run_group_tasks(children, tasks)
+        results = [fn(child, *args) for child, (fn, args) in zip(children, tasks)]
         self.join(children, label=label)
         return results

@@ -27,7 +27,6 @@ sequential and dense implementations by the test-suite).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -42,7 +41,6 @@ from ..core.seaweed import (
     split_into_blocks,
 )
 from ..mpc.cluster import MPCCluster, RANK_SEARCH_ROUNDS, SORT_ROUNDS
-from ..mpc.engine import resolve_backend
 from ..mpc.errors import SpaceExceededError
 from .common import grid_corners, instance_words
 
@@ -106,12 +104,6 @@ class MongeMPCConfig:
     #: Subproblems of at most this size are gathered on one machine and
     #: solved locally.  ``None`` selects the cluster's space budget ``s``.
     local_threshold: Optional[int] = None
-    #: Execution backend name (``"serial"``/``"thread"``/``"process"``) used
-    #: for the duration of a top-level multiplication call (the cluster's own
-    #: backend is restored afterwards).  ``None`` keeps whatever backend the
-    #: cluster was constructed with.  Backends change wall-clock behaviour
-    #: only — rounds, communication and loads are bit-identical.
-    backend: Optional[str] = None
 
 
 @dataclass
@@ -137,8 +129,7 @@ def _recurse_task(
     config: MongeMPCConfig,
     depth: int,
 ) -> Permutation:
-    """One fork-group branch of the §3 recursion (module-level so the process
-    backend can ship it to a worker)."""
+    """One fork-group branch of the §3 recursion."""
     return mpc_multiply(child, a_blk, b_blk, config, _depth=depth)
 
 
@@ -161,18 +152,6 @@ def mpc_multiply(
     n = pa.size
     if pb.size != n:
         raise ValueError("operands must have equal size")
-    if _depth == 0 and config.backend is not None:
-        # Scope the backend override to this call: swap it in, recurse with a
-        # backend-free config (children inherit the cluster backend at fork
-        # time), and restore the caller's backend afterwards.
-        original_backend = cluster.backend
-        cluster.backend = resolve_backend(config.backend)
-        try:
-            return mpc_multiply(
-                cluster, pa, pb, dataclasses.replace(config, backend=None), _depth=0
-            )
-        finally:
-            cluster.backend = original_backend
     phase = f"level{_depth}"
     local_threshold = (
         config.local_threshold
@@ -209,7 +188,6 @@ def mpc_multiply(
 
     # --------------------------------------------------------------- recurse
     # The H compacted subproblems compose in parallel machine groups; the
-    # execution backend runs them concurrently (threads/processes) while the
     # join keeps the max-rounds / sum-words parallel accounting.
     results: List[Permutation] = cluster.run_forked(
         [

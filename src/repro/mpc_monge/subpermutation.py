@@ -4,10 +4,6 @@ The reduction of Section 4.1: delete zero rows of ``P_A`` / zero columns of
 ``P_B``, pad both operands to full ``n2 x n2`` permutation matrices with
 O(1)-round prefix sums and sorting, multiply with the Theorem 1.1 algorithm,
 and strip the padding from the product.
-
-Execution-backend selection flows through unchanged: the cluster's backend
-(or ``MongeMPCConfig.backend``) governs how the inner Theorem 1.1
-multiplication schedules its fork-groups and local work.
 """
 
 from __future__ import annotations

@@ -118,7 +118,6 @@ def _render_service_throughput(doc: Dict[str, Any]) -> str:
         metrics = point.get("metrics", {})
         rows.append([
             params.get("workload", "?"),
-            params.get("backend", "?"),
             params.get("batch", "?"),
             metrics.get("cached_qps", ""),
             metrics.get("cache_hit_rate", ""),
@@ -128,7 +127,7 @@ def _render_service_throughput(doc: Dict[str, Any]) -> str:
             metrics.get("speedup", ""),
         ])
     return format_table(
-        ["workload", "backend", "batch", "cached_qps", "hit_rate", "hits", "misses", "evict", "speedup"],
+        ["workload", "batch", "cached_qps", "hit_rate", "hits", "misses", "evict", "speedup"],
         rows,
     )
 
@@ -165,12 +164,11 @@ def _render_streaming(doc: Dict[str, Any]) -> str:
         metrics = point.get("metrics", {})
         rows.append([
             params.get("workload", "?"),
-            params.get("backend", "?"),
             metrics.get("amortised_tick_seconds", ""),
             metrics.get("rebuild_per_tick_seconds", ""),
             metrics.get("speedup", ""),
         ])
-    return format_table(["workload", "backend", "tick_s", "rebuild_s", "speedup"], rows)
+    return format_table(["workload", "tick_s", "rebuild_s", "speedup"], rows)
 
 
 _WINDOW_ORDER = ("5m", "1h", "6h", "3d")

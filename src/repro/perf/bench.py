@@ -13,8 +13,8 @@ reference  the retained recursive oracle at the headline size, asserted
 semilocal  a from-scratch ``value_interval_matrix`` build (Theorem 1.3)
 streaming  the amortised sliding-window tick of the PR-4 aggregator
 service    a warm cached query batch through the PR-3 serving layer
-mpc        one Theorem 1.3 LIS solve on the MPC simulator (δ = 0.5, serial
-           backend), asserted equal to patience sorting
+mpc        one Theorem 1.3 LIS solve on the MPC simulator (δ = 0.5),
+           asserted equal to patience sorting
 ========== =============================================================
 
 Wall-clock is useless across machines, so every timing is also recorded
@@ -190,7 +190,7 @@ def _make_mpc_lis(n: int) -> Callable[[], Callable[[], Any]]:
         expected = lis_length(sequence)
 
         def kernel():
-            length = mpc_lis_length(MPCCluster(n, delta=0.5, backend="serial"), sequence)
+            length = mpc_lis_length(MPCCluster(n, delta=0.5), sequence)
             assert length == expected, "MPC LIS disagrees with patience sorting"
             return length
 

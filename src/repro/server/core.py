@@ -92,7 +92,7 @@ __all__ = [
 
 BATCH_SCHEMA_ID = "repro.server.batch"
 STATS_SCHEMA_ID = "repro.server.stats"
-STATS_SCHEMA_VERSION = 6
+STATS_SCHEMA_VERSION = 7
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Period of the background task that appends a row to the SLO history

@@ -13,8 +13,8 @@ turns that property into a serving stack:
 * :mod:`~repro.service.requests` — the request model and the JSON batch
   document behind ``python -m repro serve``;
 * :mod:`~repro.service.serving` — :class:`QueryService`, which groups mixed
-  request batches by index, builds what is missing on the configured MPC
-  execution backend, and answers each group in one vectorised pass;
+  request batches by index, builds what is missing (sequentially or on the
+  MPC simulator), and answers each group in one vectorised pass;
 * :mod:`~repro.service.sharding` — :class:`ShardRouter`, which
   consistent-hashes index fingerprints across N long-lived worker
   processes (each with a private cache and spill directory) and answers

@@ -3,10 +3,10 @@
 An index is addressed by a digest of *what it answers queries about*: the
 raw bytes of the input sequence(s), the index kind and the build parameters
 that change query semantics (``strict``).  Build *mechanics* — sequential vs
-MPC construction, ``delta``, the execution backend — are deliberately **not**
-part of the identity: every build path produces the same (sub)permutation
-matrix bit for bit (the test-suite enforces this), so a cache entry built on
-one backend must serve requests issued against any other.
+MPC construction, ``delta`` — are deliberately **not** part of the
+identity: every build path produces the same (sub)permutation matrix bit
+for bit (the test-suite enforces this), so a cache entry built one way must
+serve requests issued against any other.
 
 Build mechanics are instead recorded as *provenance* on the index handle —
 including a digest of :meth:`repro.mpc.accounting.ClusterStats.fingerprint`
@@ -65,7 +65,7 @@ def index_fingerprint(
 def stats_provenance_digest(stats) -> str:
     """Digest of a :class:`ClusterStats` fingerprint tuple (build provenance).
 
-    Bit-identical across execution backends by the engine invariant, so two
-    MPC builds of the same index always carry the same provenance digest.
+    The simulator is deterministic, so two MPC builds of the same index with
+    the same ``delta`` always carry the same provenance digest.
     """
     return _HASH(repr(stats.fingerprint()).encode("utf-8")).hexdigest()

@@ -80,7 +80,7 @@ class SemiLocalIndex:
     length: int
     #: Sorted T-positions of the match pairs (``lcs`` kind only).
     match_positions: Optional[np.ndarray] = None
-    #: Build mechanics: mode, delta, backend, rounds, stats digest, seconds.
+    #: Build mechanics: mode, delta, rounds, stats digest, seconds.
     provenance: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -227,11 +227,7 @@ def lcs_index_fingerprint(s, t) -> str:
 
 
 def _provenance(
-    mode: str,
-    delta: float,
-    backend: Optional[str],
-    cluster: Optional[MPCCluster],
-    seconds: float,
+    mode: str, delta: float, cluster: Optional[MPCCluster], seconds: float
 ) -> Dict[str, Any]:
     doc: Dict[str, Any] = {
         "mode": mode,
@@ -241,7 +237,6 @@ def _provenance(
         doc.update(
             {
                 "delta": float(delta),
-                "backend": backend or "serial",
                 "rounds": cluster.stats.num_rounds,
                 "peak_machine_load": cluster.stats.peak_machine_load,
                 "stats_digest": stats_provenance_digest(cluster.stats),
@@ -257,13 +252,12 @@ def build_lis_index(
     strict: bool = True,
     mode: str = "sequential",
     delta: float = 0.5,
-    backend: Optional[str] = None,
 ) -> SemiLocalIndex:
     """Build a semi-local LIS index (sequentially or on the MPC simulator).
 
     ``mode='mpc'`` runs the O(log n)-round pipeline of Theorem 1.3 /
-    Corollary 1.3.2 on an :class:`MPCCluster` with the selected execution
-    backend; ``mode='sequential'`` runs the in-process seaweed engine.  Both
+    Corollary 1.3.2 on an :class:`MPCCluster`; ``mode='sequential'`` runs
+    the in-process seaweed engine.  Both
     produce bit-identical matrices — the fingerprint therefore covers only
     the input and query semantics, while the build path is recorded in
     ``provenance``.
@@ -276,7 +270,7 @@ def build_lis_index(
     started = time.perf_counter()
     cluster: Optional[MPCCluster] = None
     if mode == "mpc":
-        cluster = MPCCluster(max(1, len(sequence)), delta=delta, backend=backend)
+        cluster = MPCCluster(max(1, len(sequence)), delta=delta)
         semilocal = mpc_lis_matrix(cluster, sequence, strict=strict, kind=matrix_kind).semilocal
     elif mode == "sequential":
         build = subsegment_matrix if matrix_kind == "position" else value_interval_matrix
@@ -289,7 +283,7 @@ def build_lis_index(
         kind=kind,
         semilocal=semilocal,
         length=len(sequence),
-        provenance=_provenance(mode, delta, backend, cluster, seconds),
+        provenance=_provenance(mode, delta, cluster, seconds),
     )
 
 
@@ -299,7 +293,6 @@ def build_lcs_index(
     *,
     mode: str = "sequential",
     delta: float = 0.5,
-    backend: Optional[str] = None,
 ) -> SemiLocalIndex:
     """Build the semi-local LCS index of ``S`` vs all subsegments of ``T``.
 
@@ -316,7 +309,7 @@ def build_lcs_index(
     if mode == "mpc":
         from ..lcs.mpc_lcs import lcs_cluster_for
 
-        cluster = lcs_cluster_for(len(s), len(t), len(matches), delta=delta, backend=backend)
+        cluster = lcs_cluster_for(len(s), len(t), len(matches), delta=delta)
         semilocal = mpc_lis_matrix(cluster, matches, strict=True, kind="value").semilocal
     elif mode == "sequential":
         semilocal = value_interval_matrix(matches, strict=True)
@@ -329,5 +322,5 @@ def build_lcs_index(
         semilocal=semilocal,
         length=len(t),
         match_positions=np.sort(matches),
-        provenance=_provenance(mode, delta, backend, cluster, seconds),
+        provenance=_provenance(mode, delta, cluster, seconds),
     )

@@ -6,7 +6,7 @@ self-identifying document::
     {
       "schema": "repro.service.requests",
       "version": 1,
-      "defaults": {"mode": "sequential", "delta": 0.5, "backend": "serial"},
+      "defaults": {"mode": "sequential", "delta": 0.5},
       "requests": [
         {"op": "lis_length",       "workload": "random", "n": 4096, "seed": 7},
         {"op": "substring_query",  "workload": "random", "n": 4096, "seed": 7,
@@ -320,8 +320,8 @@ def parse_requests_document(
     """Validate a batch document; returns ``(defaults, requests)``.
 
     ``defaults`` are service-configuration hints (``mode`` / ``delta`` /
-    ``backend`` / ``cache_bytes`` / ``spill_dir``) that the CLI merges under
-    its own flags.  ``default_seed`` (the CLI ``--seed`` flag) applies to
+    ``cache_bytes`` / ``spill_dir``) that the CLI merges under its own
+    flags; other keys are ignored.  ``default_seed`` (the CLI ``--seed`` flag) applies to
     named-workload targets that omit an explicit ``seed``; the document's
     own ``defaults.seed`` takes precedence over the built-in 0 but not over
     the explicit argument.

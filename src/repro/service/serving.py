@@ -6,9 +6,7 @@ of mixed :class:`~repro.service.requests.QueryRequest` objects and
 1. **groups** them by the index they need (same target + index kind + LIS
    strictness ⇒ same fingerprint ⇒ same build),
 2. **builds** each missing index exactly once — sequentially or on the MPC
-   simulator with the execution backend selected at construction (the PR-2
-   engine: ``serial`` / ``thread`` / ``process``) — and parks it in the
-   :class:`~repro.service.cache.IndexCache`,
+   simulator — and parks it in the :class:`~repro.service.cache.IndexCache`,
 3. **flattens** every request of a group into half-open interval queries
    (the global length, explicit substring windows, strided sweeps and rank
    intervals are all corner evaluations of the same distribution matrix) and
@@ -133,11 +131,9 @@ class QueryService:
     mode:
         ``'sequential'`` (in-process seaweed recursion) or ``'mpc'`` (the
         Theorem 1.3 pipeline on the simulated cluster).
-    delta, backend:
-        MPC build mechanics (ignored for sequential builds): the scalability
-        parameter and the execution backend (``serial``/``thread``/
-        ``process``).  Backends change build wall-clock only — the built
-        index, and therefore every answer, is bit-identical across them.
+    delta:
+        The MPC scalability parameter (ignored for sequential builds).  Both
+        modes build the same index, so every answer is mode-invariant.
 
     Counts and timings live in :attr:`metrics` (the cache keeps its own);
     :meth:`stats` is a view over both.
@@ -149,14 +145,12 @@ class QueryService:
         cache: Optional[IndexCache] = None,
         mode: str = "sequential",
         delta: float = 0.5,
-        backend: Optional[str] = None,
     ) -> None:
         if mode not in ("sequential", "mpc"):
             raise ValueError(f"mode must be 'sequential' or 'mpc', got {mode!r}")
         self.cache = cache if cache is not None else IndexCache()
         self.mode = mode
         self.delta = float(delta)
-        self.backend = backend
         #: ``(target, kind, strict) -> fingerprint`` memo: TargetSpec fully
         #: determines the input content, so warm submits skip both the O(n)
         #: target realisation and the SHA-256 over its bytes.
@@ -191,15 +185,8 @@ class QueryService:
         realised = target.realise() if realised is None else realised
         if kind == "lcs":
             s, t = realised
-            return build_lcs_index(s, t, mode=self.mode, delta=self.delta, backend=self.backend)
-        return build_lis_index(
-            realised,
-            kind=kind,
-            strict=strict,
-            mode=self.mode,
-            delta=self.delta,
-            backend=self.backend,
-        )
+            return build_lcs_index(s, t, mode=self.mode, delta=self.delta)
+        return build_lis_index(realised, kind=kind, strict=strict, mode=self.mode, delta=self.delta)
 
     def _get_index(
         self, target: TargetSpec, kind: str, strict: bool
@@ -436,6 +423,5 @@ class QueryService:
         return {
             "mode": self.mode,
             "delta": self.delta,
-            "backend": self.backend or "serial",
             **counts,
         }

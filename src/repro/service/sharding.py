@@ -37,11 +37,6 @@ in its stats.  The same :class:`_InlineWorker` class also serves a shard
 whose circuit breaker is open: one lazily built instance, called under one
 lock, answers those sub-batches flagged ``degraded``.
 
-Worker processes reuse the engine-layer conventions of
-:mod:`repro.mpc.engine` (fork context, daemonic-process detection); MPC
-builds inside a worker automatically run their execution backend inline,
-so shard workers never spawn nested pools.
-
 Observability: every router count and timing lives in the router's own
 :class:`~repro.obs.metrics.MetricsRegistry` (``router.metrics``), every
 shard's counts in its service and cache registries, which process shards,
@@ -69,7 +64,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..mpc.engine import fork_context, in_daemonic_process
 from ..obs.metrics import (
     MetricsRegistry,
     get_registry,
@@ -114,6 +108,32 @@ DEFAULT_WORKER_TIMEOUT = 120.0
 #: Pipe poll granularity: small enough that kill decisions are prompt,
 #: large enough that an idle wait costs ~20 wakeups/second at worst.
 _POLL_STEP = 0.05
+
+
+# ``multiprocessing`` is imported where it is used: every ``repro`` import
+# loads this module, and most processes never start a worker.
+
+
+def in_daemonic_process() -> bool:
+    """Whether this is a daemonic worker (the experiment runner's
+    ``--workers`` pool), which cannot spawn children of its own."""
+    import multiprocessing
+
+    return bool(multiprocessing.current_process().daemon)
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context where available.
+
+    Fork is cheap and inherits the loaded NumPy/module state; platforms
+    without it (non-POSIX) get the default context.
+    """
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
 
 
 class ShardWorkerCrash(RuntimeError):
@@ -197,7 +217,6 @@ class ShardConfig:
 
     mode: str = "sequential"
     delta: float = 0.5
-    backend: Optional[str] = None
     cache_bytes: int = DEFAULT_CACHE_BYTES
     spill_root: Optional[str] = None
     #: Chaos-testing plan, installed by each worker at startup so the
@@ -221,12 +240,7 @@ def _worker_spill_dir(config: ShardConfig, shard_id: int) -> Optional[str]:
 def _build_worker_service(config: ShardConfig, shard_id: int) -> Tuple[QueryService, Optional[str]]:
     spill_dir = _worker_spill_dir(config, shard_id)
     cache = IndexCache(max_bytes=config.cache_bytes, spill_dir=spill_dir)
-    service = QueryService(
-        cache=cache,
-        mode=config.mode,
-        delta=config.delta,
-        backend=config.backend,
-    )
+    service = QueryService(cache=cache, mode=config.mode, delta=config.delta)
     return service, spill_dir
 
 
@@ -390,8 +404,8 @@ class _ProcessWorker(_WorkerBase):
         self.conn = parent
         self._stale = 0
         # The worker derives its spill subdir from its own pid; mirror the
-        # derivation here so leftover directories of *crashed* workers can
-        # still be removed at router close.
+        # derivation here so the directory of a *crashed* worker can still
+        # be removed, at its restart or at router close.
         if self.config.spill_root:
             self.spill_dir = os.path.join(
                 self.config.spill_root, f"shard{self.shard_id}-pid{process.pid}"
@@ -490,13 +504,17 @@ class _ProcessWorker(_WorkerBase):
                 )
 
     def _kill(self) -> None:
-        """Terminate a hung-but-alive worker so restart() does not wait on it."""
+        """SIGKILL a hung-but-alive worker: a stopped or wedged process may
+        never act on SIGTERM, and restart() must not wait on it."""
         if self.process is not None and self.process.is_alive():
-            self.process.terminate()
+            self.process.kill()
         self._stale = 0
 
     def restart(self) -> None:
+        # The old worker is reaped before its spill subdirectory goes, so it
+        # cannot write into it again; its cache index died with it.
         self._teardown(graceful=False)
+        self._cleanup_spill()
         self._spawn()
 
     def stop(self) -> None:
@@ -523,6 +541,11 @@ class _ProcessWorker(_WorkerBase):
             if self.process.is_alive():
                 self.process.terminate()
                 self.process.join(timeout=5.0)
+            if self.process.is_alive():
+                # SIGKILL cannot be ignored, even by a stopped process; keep
+                # the handle until the process is reaped.
+                self.process.kill()
+                self.process.join()
             self.process = None
 
 
@@ -581,9 +604,8 @@ class ShardRouter:
     Parameters
     ----------
     shards:
-        Worker count (default: ``max(2, cpu_count)``, mirroring the engine
-        backends).
-    mode, delta, backend:
+        Worker count (default: ``max(2, cpu_count)``).
+    mode, delta:
         Per-worker :class:`QueryService` build mechanics.
     cache_bytes:
         Per-worker in-memory index budget.
@@ -610,7 +632,6 @@ class ShardRouter:
         *,
         mode: str = "sequential",
         delta: float = 0.5,
-        backend: Optional[str] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         spill_dir: Optional[str] = None,
         retry_limit: int = 2,
@@ -637,7 +658,6 @@ class ShardRouter:
         self.config = ShardConfig(
             mode=mode,
             delta=float(delta),
-            backend=backend,
             cache_bytes=int(cache_bytes),
             spill_root=spill_dir,
             fault_plan=fault_plan,
@@ -725,7 +745,7 @@ class ShardRouter:
             self.serial_fallback = "forced"
         elif in_daemonic_process():
             # Daemonic pool workers (the experiment runner's --workers
-            # fan-out) cannot spawn children; same rule as ProcessBackend.
+            # fan-out) cannot spawn children.
             self.serial_fallback = "daemonic process"
         if self.serial_fallback is None:
             try:
@@ -1137,7 +1157,7 @@ class ShardRouter:
         """Router + per-shard statistics (JSON-safe; surfaces in ``/stats``).
 
         Includes the top-level keys the single-process service stats carry
-        (``mode``/``delta``/``backend``/``cache``), so artifact writers and
+        (``mode``/``delta``/``cache``), so artifact writers and
         dashboards read one shape regardless of sharding.  Per-shard docs
         and the fleet totals (degraded fallback included) are
         :func:`~repro.service.serving.service_counters` over the polled
@@ -1201,7 +1221,6 @@ class ShardRouter:
             "retry_limit": self.retry_limit,
             "mode": self.config.mode,
             "delta": self.config.delta,
-            "backend": self.config.backend or "serial",
             **totals,
             # The router's own counts: routed requests include degraded ones.
             "batches_served": count("repro_router_batches_total"),

@@ -25,16 +25,12 @@ monoid structure for streams:
   cover without materialising any product.  The true root product (needed for
   window sweeps, snapshots and the service refresh path) is folded on demand
   and cached until the next mutation.
-
-Leaf builds are dispatched through the PR-2 execution engine
-(:mod:`repro.mpc.engine`), so ``backend='thread'`` parallelises multi-leaf
-appends; every backend produces bit-identical products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +44,6 @@ from ..lis.semilocal import (
     embed_into_universe,
     validate_intervals,
 )
-from ..mpc.engine import ExecutionBackend, resolve_backend
 
 __all__ = [
     "MultiplyFn",
@@ -273,25 +268,6 @@ def cover_scores(parts: Sequence[BlockProduct], x: int, y: np.ndarray) -> np.nda
     return D[0, y]
 
 
-def _leaf_build_task(item: Tuple[np.ndarray, np.ndarray], _index: int):
-    """Backend-mapped leaf build: ``(values, ties) -> (product, multiplies)``.
-
-    Pure with respect to shared state — each task counts its own multiplies
-    locally and the driver merges the deltas after the map, so the thread
-    backend can genuinely run leaf builds concurrently.  The ``(values, ...)``
-    tuple shape also lets the engine's item-weight heuristic see the real
-    element count when deciding whether threading pays.
-    """
-    values, ties = item
-    performed = [0]
-
-    def counting_multiply(left: SubPermutation, right: SubPermutation) -> SubPermutation:
-        performed[0] += 1
-        return multiply(left, right)
-
-    return build_block_product(values, ties, counting_multiply), performed[0]
-
-
 # ------------------------------------------------------------------ the tree
 class NodeStore:
     """``nbytes``-aware store of memoized tree-node :class:`BlockProduct`\\ s.
@@ -413,9 +389,6 @@ class SeaweedAggregator:
         Elements per leaf block.  The default stays below the dense
         construction threshold, so per-tick leaf rebuilds are one vectorised
         dense pass.
-    backend:
-        PR-2 execution backend (name or instance) used to fan out multi-leaf
-        block builds; answers are bit-identical across backends.
     """
 
     def __init__(
@@ -423,13 +396,11 @@ class SeaweedAggregator:
         *,
         strict: bool = True,
         leaf_size: int = DEFAULT_LEAF_SIZE,
-        backend: Union[None, str, ExecutionBackend] = None,
     ) -> None:
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be positive, got {leaf_size}")
         self.strict = bool(strict)
         self.leaf_size = int(leaf_size)
-        self.backend: ExecutionBackend = resolve_backend(backend)
         self.store = NodeStore()
         self.stats = AggregatorStats()
         self._leaves: List[_Leaf] = []
@@ -506,18 +477,8 @@ class SeaweedAggregator:
                 touched.append(leaf)
         self._next_arrival += len(values)
         self.stats.elements_appended += len(values)
-        # Rebuild every touched leaf product through the execution engine —
-        # a multi-leaf append is an embarrassingly parallel local phase.  The
-        # mapped task is pure (own multiply counter); stats merge afterwards
-        # on the driver, so concurrent leaf builds cannot lose increments.
-        outcomes = self.backend.map_local(
-            _leaf_build_task,
-            [(leaf.live_values(), self._tie_keys(leaf.live_arrivals())) for leaf in touched],
-        )
-        for leaf, (product, multiplies) in zip(touched, outcomes):
-            self.stats.blocks_built += 1
-            self.stats.multiplies += multiplies
-            self.store.put((0, leaf.leaf_id), product)
+        for leaf in touched:
+            self.store.put((0, leaf.leaf_id), self._build_leaf_product(leaf))
         self._touch()
 
     def evict(self, count: int) -> int:

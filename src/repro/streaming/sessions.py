@@ -25,12 +25,11 @@ product is only folded when a sweep-shaped query genuinely needs it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..lis.semilocal import SemiLocalLIS
-from ..mpc.engine import ExecutionBackend
 from .aggregator import DEFAULT_LEAF_SIZE, SeaweedAggregator
 
 __all__ = ["StreamingLIS", "StreamingLCS"]
@@ -46,7 +45,7 @@ class StreamingLIS:
         window unbounded; ``append``/``evict`` always remain available).
     strict:
         Strictly increasing (default) vs non-decreasing subsequences.
-    leaf_size, backend:
+    leaf_size:
         Forwarded to the underlying :class:`SeaweedAggregator`.
     """
 
@@ -56,12 +55,11 @@ class StreamingLIS:
         window: Optional[int] = None,
         strict: bool = True,
         leaf_size: int = DEFAULT_LEAF_SIZE,
-        backend: Union[None, str, ExecutionBackend] = None,
     ) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be positive (or None), got {window}")
         self.window = window
-        self.aggregator = SeaweedAggregator(strict=strict, leaf_size=leaf_size, backend=backend)
+        self.aggregator = SeaweedAggregator(strict=strict, leaf_size=leaf_size)
         self.ticks = 0
 
     # -------------------------------------------------------------- mutations
@@ -147,7 +145,7 @@ class StreamingLCS:
     window:
         Maximum number of live ``T`` symbols kept by :meth:`push` (``None``
         keeps ``T`` unbounded).
-    leaf_size, backend:
+    leaf_size:
         Forwarded to the underlying match-point :class:`SeaweedAggregator`.
     """
 
@@ -157,7 +155,6 @@ class StreamingLCS:
         *,
         window: Optional[int] = None,
         leaf_size: int = DEFAULT_LEAF_SIZE,
-        backend: Union[None, str, ExecutionBackend] = None,
     ) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be positive (or None), got {window}")
@@ -170,7 +167,7 @@ class StreamingLCS:
         for value in np.unique(self.reference):
             positions = np.flatnonzero(self.reference == value)[::-1].astype(np.float64)
             self._matches[float(value)] = positions
-        self.aggregator = SeaweedAggregator(strict=True, leaf_size=leaf_size, backend=backend)
+        self.aggregator = SeaweedAggregator(strict=True, leaf_size=leaf_size)
         self._t_symbols: List[float] = []
         self._t_counts: List[int] = []
         self.ticks = 0

@@ -46,7 +46,6 @@ def test_registry_has_all_builtin_experiments():
         "communication",
         "fanin_ablation",
         "space_overhead",
-        "backend_wallclock",
         "service_throughput",
     ):
         assert expected in names

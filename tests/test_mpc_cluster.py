@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpc import (
+    ClusterStats,
     MPCCluster,
     MachineCountError,
     ScalabilityError,
@@ -151,3 +152,112 @@ class TestForkJoin:
         for key in ("machines", "rounds", "total_communication", "peak_machine_load"):
             assert key in summary
         assert cl.stats.rounds_by_phase()
+
+
+# ------------------------------------------------ primitives against NumPy
+def test_primitives_match_numpy(rng):
+    cluster = MPCCluster(400, delta=0.5, num_machines=8, space_per_machine=128)
+    data = rng.integers(0, 50, size=400)  # duplicates exercise stable ties
+    key = rng.permutation(400)
+    dest = rng.integers(0, 8, size=400)
+    perm = rng.permutation(400)
+    queries = rng.integers(0, 50, size=80)
+    darr = cluster.distribute(data)
+
+    np.testing.assert_array_equal(
+        cluster.sort(darr, key=key).to_array(), data[np.argsort(key, kind="stable")]
+    )
+    # Per-chunk placement: machine p receives its elements in source order.
+    routed = cluster.route(darr, dest)
+    for machine, chunk in enumerate(routed.chunks):
+        np.testing.assert_array_equal(chunk, data[dest == machine])
+    np.testing.assert_array_equal(
+        cluster.prefix_sum(darr, exclusive=True).to_array(), np.cumsum(data) - data
+    )
+    np.testing.assert_array_equal(
+        cluster.prefix_sum(darr, exclusive=False).to_array(), np.cumsum(data)
+    )
+    np.testing.assert_array_equal(
+        cluster.inverse_permutation(cluster.distribute(perm)).to_array(), np.argsort(perm)
+    )
+    np.testing.assert_array_equal(
+        cluster.rank_search(darr, cluster.distribute(queries)).to_array(),
+        np.searchsorted(np.sort(data), queries, side="left"),
+    )
+    sizes = darr.chunk_sizes
+    np.testing.assert_array_equal(
+        darr.map_chunks(lambda chunk, idx: chunk + idx).to_array(),
+        data + np.repeat(np.arange(len(sizes)), sizes),
+    )
+
+
+def test_sort_and_prefix_match_numpy(rng):
+    # Chunk-resident implementations agree with the flat NumPy reference.
+    cluster = MPCCluster(300, delta=0.5)
+    data = rng.integers(0, 20, size=300)
+    key = rng.integers(0, 20, size=300)
+    np.testing.assert_array_equal(
+        cluster.sort(cluster.distribute(data), key=key).to_array(),
+        data[np.argsort(key, kind="stable")],
+    )
+    np.testing.assert_array_equal(
+        cluster.prefix_sum(cluster.distribute(data)).to_array(),
+        np.cumsum(data) - data,
+    )
+
+
+def test_route_validates_payload_length(rng):
+    cluster = MPCCluster(100, delta=0.5)
+    darr = cluster.distribute(np.arange(100))
+    dest = rng.integers(0, cluster.num_machines, size=100)
+    routed = cluster.route(darr, dest, payload=np.arange(100) * 2)
+    np.testing.assert_array_equal(np.sort(routed.to_array()), np.arange(100) * 2)
+    with pytest.raises(ValueError, match="payload must match"):
+        cluster.route(darr, dest, payload=np.arange(50))
+
+
+# --------------------------------------------- fork/join parallel batches
+def _charge_task(cluster, rounds, words):
+    cluster.charge_rounds(rounds, "work", words_per_round=words, max_load=5)
+    cluster.stats.local_operations += rounds
+    return rounds
+
+
+def test_run_forked_parallel_composition():
+    """`absorb_parallel` semantics: max over rounds, sum of words, with
+    results in task order."""
+    cluster = MPCCluster(1000, delta=0.5)
+    results = cluster.run_forked(
+        [
+            (_charge_task, (5, 10)),
+            (_charge_task, (2, 30)),
+            (_charge_task, (4, 7)),
+        ],
+        label="parallel",
+    )
+    assert results == [5, 2, 4]
+    # Parallel composition: rounds = max(5, 2, 4); words add up per round.
+    assert cluster.stats.num_rounds == 5
+    assert cluster.stats.total_communication == 5 * 10 + 2 * 30 + 4 * 7
+    assert cluster.stats.peak_machine_load == 5
+    assert cluster.stats.local_operations == 5 + 2 + 4
+
+
+def test_run_forked_empty_and_single():
+    cluster = MPCCluster(100, delta=0.5)
+    assert cluster.run_forked([]) == []
+    assert cluster.run_forked([(_charge_task, (1, 4))]) == [1]
+    assert cluster.stats.num_rounds == 1
+
+
+def test_absorb_parallel_direct_semantics():
+    parent = ClusterStats(num_machines=8, space_per_machine=64)
+    a = ClusterStats(num_machines=4, space_per_machine=64)
+    b = ClusterStats(num_machines=4, space_per_machine=64)
+    a.record_round("a", 10, 3)
+    a.record_round("a", 10, 3)
+    b.record_round("b", 100, 7)
+    parent.absorb_parallel([a, b], label="p")
+    assert parent.num_rounds == 2  # max over children
+    assert parent.total_communication == 120  # sum across children
+    assert parent.peak_machine_load == 7  # max across children

@@ -342,9 +342,10 @@ class TestServerObservability:
 
         status, _, stats = get_json(sharded_server.url + "/stats")
         assert status == 200
-        assert stats["stats_schema"] == "repro.server.stats.v6"
-        assert stats["version"] == 6
+        assert stats["stats_schema"] == "repro.server.stats.v7"
+        assert stats["version"] == 7
         assert "plan" not in stats["service"]
+        assert "backend" not in stats["service"]
 
 
 # ------------------------------------------- /stats and /metrics: one store

@@ -244,20 +244,6 @@ class TestReferenceEngine:
         assert sparse and all(sparse)
 
 
-class TestEngineAcrossBackends:
-    def test_backends_bit_identical(self, rng):
-        """serial/thread/process leaf builds with the iterative engine agree."""
-        from repro.streaming import StreamingLIS
-
-        stream = rng.random(300)
-        roots = []
-        for backend in ("serial", "thread", "process"):
-            session = StreamingLIS(window=256, leaf_size=32, backend=backend)
-            session.push(stream)
-            roots.append(session.to_semilocal().matrix)
-        assert roots[0] == roots[1] == roots[2]
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=40),

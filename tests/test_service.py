@@ -8,7 +8,9 @@ import pytest
 from repro.core.permutation import SubPermutation, random_subpermutation
 from repro.experiments import load_artifact
 from repro.experiments.cli import main as cli_main
+from repro.analysis.serialize import weighted_checksum
 from repro.experiments.specs import (
+    _service_query_windows,
     check_service_throughput,
     run_service_throughput_point,
 )
@@ -29,7 +31,7 @@ from repro.service import (
 )
 from repro.workloads import make_sequence, make_string_pair
 
-BACKENDS = ("serial", "thread", "process")
+MODES = ("sequential", "mpc")
 
 
 def _random_windows(rng, n, count, upper=None):
@@ -53,40 +55,36 @@ class TestFingerprints:
     def test_build_mechanics_do_not_change_identity(self):
         seq = make_sequence("random", 96, seed=3)
         sequential = build_lis_index(seq, mode="sequential")
-        mpc = build_lis_index(seq, mode="mpc", delta=0.4, backend="thread")
+        mpc = build_lis_index(seq, mode="mpc", delta=0.4)
         assert sequential.fingerprint == mpc.fingerprint
         assert sequential.semilocal.matrix == mpc.semilocal.matrix
         assert mpc.provenance["mode"] == "mpc"
-        assert mpc.provenance["backend"] == "thread"
+        assert mpc.provenance["delta"] == 0.4
         assert "stats_digest" in mpc.provenance
 
-    def test_mpc_provenance_digest_is_backend_invariant(self):
+    def test_mpc_provenance_digest_is_reproducible(self):
         seq = make_sequence("random", 96, seed=4)
         digests = {
-            build_lis_index(seq, mode="mpc", backend=backend).provenance["stats_digest"]
-            for backend in BACKENDS
+            build_lis_index(seq, mode="mpc").provenance["stats_digest"] for _ in range(2)
         }
         assert len(digests) == 1
+        other = build_lis_index(seq, mode="mpc", delta=0.4).provenance["stats_digest"]
+        assert other not in digests
 
 
 # ------------------------------------------------------------- batch queries
 class TestIndexQueries:
     @pytest.mark.parametrize("workload", ["random", "duplicate_heavy", "near_sorted"])
-    def test_substring_batches_match_dp_on_all_backends(self, workload):
+    def test_substring_batches_match_dp_in_both_modes(self, workload):
         n = 64
         seq = make_sequence(workload, n, seed=5)
         rng = np.random.default_rng(6)
         i, j = _random_windows(rng, n, 24)
         oracle = np.array([lis_length_dp(seq[a:b]) for a, b in zip(i, j)])
 
-        reference = None
-        for mode, backend in [("sequential", None)] + [("mpc", b) for b in BACKENDS]:
-            index = build_lis_index(seq, mode=mode, backend=backend)
-            answers = index.query_substrings(i, j)
-            assert np.array_equal(answers, oracle), (mode, backend)
-            if reference is None:
-                reference = answers
-            assert np.array_equal(answers, reference)
+        for mode in MODES:
+            answers = build_lis_index(seq, mode=mode).query_substrings(i, j)
+            assert np.array_equal(answers, oracle), mode
 
     def test_rank_interval_batches_match_filtered_dp(self):
         n = 40
@@ -99,14 +97,14 @@ class TestIndexQueries:
         ]
         assert list(index.query_rank_intervals(x, y)) == expected
 
-    def test_lcs_batches_match_dp_on_all_backends(self):
+    def test_lcs_batches_match_dp_in_both_modes(self):
         s, t = make_string_pair("correlated_pair", 48, seed=9, alphabet=6)
         rng = np.random.default_rng(10)
         i, j = _random_windows(rng, len(t), 12)
         oracle = np.array([lcs_length_dp(s, t[a:b]) for a, b in zip(i, j)])
-        for mode, backend in [("sequential", None)] + [("mpc", b) for b in BACKENDS]:
-            index = build_lcs_index(s, t, mode=mode, backend=backend)
-            assert np.array_equal(index.query_substrings(i, j), oracle), (mode, backend)
+        for mode in MODES:
+            index = build_lcs_index(s, t, mode=mode)
+            assert np.array_equal(index.query_substrings(i, j), oracle), mode
             assert index.full_length() == lcs_length_dp(s, t)
 
     def test_window_sweep_equals_explicit_windows(self):
@@ -329,7 +327,7 @@ class TestQueryService:
         assert by_id["rank"].result == lis_length(seq)  # full rank range
         assert len(by_id["sweep"].result) == len(range(0, 128 - 32 + 1, 16))
 
-    def test_answers_bit_identical_across_backends(self):
+    def test_answers_bit_identical_across_modes(self):
         target = self._target(n=160, seed=21)
         requests = [
             QueryRequest(
@@ -341,11 +339,11 @@ class TestQueryService:
             ),
             QueryRequest(op="lis_length", target=target, request_id="len"),
         ]
-        results = []
-        for backend in BACKENDS:
-            service = QueryService(mode="mpc", backend=backend)
-            results.append([o.result for o in service.submit(requests).outcomes])
-        assert results[0] == results[1] == results[2]
+        results = [
+            [o.result for o in QueryService(mode=mode).submit(requests).outcomes]
+            for mode in MODES
+        ]
+        assert results[0] == results[1]
 
     def test_malformed_requests_fail_fast_with_request_id(self):
         target = self._target()
@@ -627,6 +625,18 @@ class TestServeCLI:
         assert hits == [False, False, True, True]
         assert cli_main(["validate", str(artifact_path)]) == 0
 
+    def test_serve_ignores_unknown_defaults(self, tmp_path, capsys):
+        # Documents written for older builds may still carry "backend".
+        path = self._write_requests(tmp_path)
+        document = json.loads(path.read_text())
+        document["defaults"]["backend"] = "process"
+        path.write_text(json.dumps(document))
+        artifact_path = tmp_path / "serve.json"
+        assert cli_main(["serve", "--requests", str(path), "--artifact", str(artifact_path)]) == 0
+        document = load_artifact(str(artifact_path))
+        assert "backend" not in document["fixed"]
+        assert "backend" not in document["service"]
+
     def test_serve_rejects_bad_inputs(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert cli_main(["serve", "--requests", str(missing)]) == 1
@@ -637,30 +647,24 @@ class TestServeCLI:
 
 # -------------------------------------------------- service_throughput spec
 class TestServiceThroughputSpec:
-    def test_point_answers_identical_across_backends(self):
-        rows = [
-            run_service_throughput_point(
-                workload="random", batch=16, backend=backend, n=256, seed=7
-            )
-            for backend in BACKENDS
-        ]
-        checksums = {row["answers_checksum"] for row in rows}
-        assert len(checksums) == 1
-        for row in rows:
-            assert row["cache_hits"] >= 1 and row["cache_misses"] >= 1
-            assert row["speedup"] > 1.0
+    def test_point_answers_match_a_rebuild(self):
+        row = run_service_throughput_point(workload="random", batch=16, n=256, seed=7)
+        target = TargetSpec(kind="sequence", workload="random", n=256, seed=7)
+        i, j = _service_query_windows(256, 16, 7)
+        oracle = build_lis_index(target.realise()).query_substrings(i, j)
+        assert row["answers_checksum"] == weighted_checksum(oracle)
+        assert row["cache_hits"] >= 1 and row["cache_misses"] >= 1
+        assert row["speedup"] > 1.0
 
-    def test_checks_reject_divergent_backends(self):
+    def test_checks_reject_an_unexercised_cache(self):
         from repro.experiments import PointResult
 
-        good = run_service_throughput_point("random", 8, "serial", n=128, seed=7)
-        bad = dict(good, answers_checksum=good["answers_checksum"] + 1)
-        points = [
-            PointResult(params={"workload": "random", "batch": 8, "backend": "serial"}, metrics=good),
-            PointResult(params={"workload": "random", "batch": 8, "backend": "thread"}, metrics=bad),
-        ]
-        with pytest.raises(AssertionError, match="diverge"):
-            check_service_throughput(points)
+        good = run_service_throughput_point("random", 8, n=128, seed=7)
+        cold = dict(good, cache_hits=0)
+        params = {"workload": "random", "batch": 8}
+        check_service_throughput([PointResult(params=params, metrics=good)])
+        with pytest.raises(AssertionError, match="not exercised"):
+            check_service_throughput([PointResult(params=params, metrics=cold)])
 
 
 # ------------------------------------------------------- lenient parsing (v2)

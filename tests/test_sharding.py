@@ -16,6 +16,7 @@ The invariants every scaling change must preserve:
 
 import json
 import os
+import signal
 import time
 import urllib.request
 
@@ -207,6 +208,30 @@ class TestWorkerCrashRecovery:
         assert all(worker.process is None for worker in router._workers)
         assert not any(process.is_alive() for process in processes)
 
+    def test_hung_worker_is_killed_and_reaped_before_its_replacement(self):
+        request = QueryRequest(op="lis_length", target=_seq_target(), request_id="a")
+        expected = QueryService(cache=IndexCache()).submit([request]).outcomes
+        router = ShardRouter(1, worker_timeout=1.0)
+        old = router._workers[0].process
+        try:
+            assert router.stats()["workers"] == "process"
+            # A stopped process acts on no signal but SIGKILL.
+            os.kill(old.pid, signal.SIGSTOP)
+            started = time.monotonic()
+            answered = router.submit([request]).outcomes
+            elapsed = time.monotonic() - started
+            _assert_same_outcomes(answered, expected)
+            # One 1 s liveness timeout, then a prompt restart: no joins
+            # waiting out a process that cannot exit.
+            assert elapsed < 5.0, f"submit across the restart took {elapsed:.2f}s"
+            assert old.exitcode == -signal.SIGKILL, "the hung worker was not reaped"
+            assert router._workers[0].process.pid != old.pid
+        finally:
+            router.close()
+            if old.is_alive():
+                old.kill()
+                old.join(timeout=10)
+
     def test_crash_loop_gives_up_after_retry_limit(self):
         router = ShardRouter(1, retry_limit=1)
         try:
@@ -245,6 +270,32 @@ class TestIsolationAndWarmup:
             assert any(
                 files for files in (os.listdir(os.path.join(spill_root, d)) for d in subdirs)
             ), "tiny cache budget should have spilled at least one index"
+        finally:
+            router.close()
+        assert os.listdir(spill_root) == []
+
+    def test_restarted_worker_leaves_no_spill_subdir(self, tmp_path):
+        spill_root = str(tmp_path / "spill")
+        # A 1-byte budget spills every built index straight to disk.
+        router = ShardRouter(1, cache_bytes=1, spill_dir=spill_root)
+
+        def submit(seed):
+            router.submit(
+                [QueryRequest(op="lis_length", target=_seq_target(seed=seed), request_id="a")]
+            )
+
+        try:
+            assert router.stats()["workers"] == "process"
+            for seed in range(3):
+                submit(seed)
+            old_dir = router._workers[0].spill_dir
+            assert len(os.listdir(old_dir)) == 3
+            router._workers[0].process.kill()
+            router._workers[0].process.join(timeout=10)
+            for seed in range(3, 5):
+                submit(seed)
+            assert router.stats()["restarts"] == 1
+            assert not os.path.exists(old_dir), "the dead worker's spill files stayed"
         finally:
             router.close()
         assert os.listdir(spill_root) == []
