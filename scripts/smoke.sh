@@ -6,16 +6,12 @@
 # a Content-Length: -5 frame answered 400 -> /metrics scrape with
 # monotone-counter assertions + a scrape-interval self-test: two scrapes
 # under traffic, counters monotone, gauges within bounds, exemplar
-# annotations parsed and resolved via /debug/traces -> teardown even on
-# failure), a sharded serve-http cycle (--shards 2: health
-# poll, cold/warm POST, per-shard /stats assertions, the per-shard /metrics
-# counters and the shards' cache/query sums carrying the same values, trap
-# teardown), a sampled serve-http cycle
-# (1% head rate: sampler counters tick, /debug/slo reconciles with /stats,
-# an SLO burn-rate artifact is recorded on shutdown and validated, and
-# --slo-history, which starts the periodic SLO task, persists window rows
-# to a JSONL file across the restart boundary), a
-# chaos serve-http cycle (--shards 2 under a seeded --fault-plan injecting
+# annotations parsed, resolved via /debug/traces and read as retained at
+# /debug/exemplars -> teardown even on failure), a sharded serve-http
+# cycle (--shards 2: health poll, cold/warm POST, per-shard /stats
+# assertions, the per-shard /metrics counters and the shards' cache/query
+# sums carrying the same values, trap teardown), a chaos serve-http
+# cycle (--shards 2 under a seeded --fault-plan injecting
 # a worker hang, a worker crash and spill corruption, with a 500 ms
 # hung-worker timeout: every request answered or failed fast with a
 # structured error, non-degraded answers bit-identical to a serial oracle,
@@ -27,10 +23,10 @@
 # (sliding-window session -> artifact validate), a quick perf pass gated
 # against the recorded results/perf_core.json baseline (cpu-normalised
 # regression check + the >= speedup floor) with a trend row appended and
-# validated, the repro report renderer (ASCII tables + the trend table +
-# the --slo burn-rate summary, zero third-party deps), and schema
-# validation of every artifact — the freshly written ones and everything
-# recorded under results/.  Intended as the CI entry point.
+# validated, the repro report renderer (ASCII tables + the trend table,
+# zero third-party deps), and schema validation of every artifact — the
+# freshly written ones and everything recorded under results/.  Intended
+# as the CI entry point.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,10 +41,7 @@ SHARD_ARTIFACT="${7:-/tmp/repro-smoke-shard-scaling.json}"
 TREND_LOG="${TREND_LOG:-/tmp/repro-smoke-perf-trend.jsonl}"
 SERVE_HTTP_PORT="${SERVE_HTTP_PORT:-8077}"
 SHARD_HTTP_PORT="${SHARD_HTTP_PORT:-8078}"
-SLO_HTTP_PORT="${SLO_HTTP_PORT:-8079}"
 CHAOS_HTTP_PORT="${CHAOS_HTTP_PORT:-8081}"
-SLO_ARTIFACT="${SLO_ARTIFACT:-/tmp/repro-smoke-slo.json}"
-SLO_HISTORY="${SLO_HISTORY:-/tmp/repro-smoke-slo-history.jsonl}"
 CHAOS_PLAN="${CHAOS_PLAN:-/tmp/repro-smoke-fault-plan.json}"
 
 SERVER_PID=""
@@ -140,7 +133,7 @@ assert record["status"] == "done", record
 stats = call("GET", "/stats")
 assert stats["requests"]["answered"] == 4, stats["requests"]
 assert stats["builds"]["done"] == 1, stats["builds"]
-assert stats["stats_schema"] == "repro.server.stats.v7", stats["stats_schema"]
+assert stats["stats_schema"] == "repro.server.stats.v8", stats["stats_schema"]
 
 # The codec answers a malformed frame with a prompt 400, not a traceback.
 import socket
@@ -171,7 +164,6 @@ for series in (
     "repro_multiply_total",
     "repro_server_uptime_seconds",
     "repro_build_info",
-    "repro_traces_sampled_total",
     "repro_trace_ring_occupancy",
 ):
     assert series in first, f"missing /metrics series {series}"
@@ -180,7 +172,6 @@ second, _ = scrape()
 for series in (
     "repro_http_requests_total",
     "repro_server_passes_total",
-    "repro_traces_sampled_total",
 ):
     before = sum(first[series].values())
     after = sum(second[series].values())
@@ -198,7 +189,6 @@ scrape_b, text_b = scrape()
 for series in (
     "repro_http_requests_total",
     "repro_http_request_seconds_count",
-    "repro_traces_sampled_total",
     "repro_cache_lookups_total",
 ):
     before = sum(scrape_a[series].values())
@@ -217,15 +207,18 @@ exemplars = [
     if record["series"] == "repro_http_request_seconds_bucket"
 ]
 assert exemplars, "no exemplar annotations on the latency histogram"
-resolved = call("GET", f"/debug/traces/{exemplars[-1]['trace_id']}")
-assert resolved["trace_id"] == exemplars[-1]["trace_id"], resolved
+cited = exemplars[-1]["trace_id"]
+resolved = call("GET", f"/debug/traces/{cited}")
+assert resolved["trace_id"] == cited, resolved
+debug = {record["trace_id"]: record for record in call("GET", "/debug/exemplars")["exemplars"]}
+assert debug[cited]["retained"] is True, debug.get(cited)
 
 print(
     f"serve-http OK: {stats['requests']['answered']} answered, "
     f"cold->warm cache hit verified, Content-Length -5 -> 400, "
     f"background build {build['token']} done, /metrics monotone, "
     f"scrape self-test passed (ring occupancy {ring:g}, "
-    f"{len(exemplars)} exemplar(s) parsed and resolved)"
+    f"{len(exemplars)} exemplar(s) parsed, newest resolved and retained)"
 )
 EOF
 kill -INT "${SERVER_PID}"
@@ -337,78 +330,6 @@ EOF
 kill -INT "${SERVER_PID}"
 wait "${SERVER_PID}"
 SERVER_PID=""
-
-echo
-echo "== sampled serve-http cycle (1% head rate): tail retention + SLO record =="
-rm -f "${SLO_HISTORY}"
-python -m repro serve-http --port "${SLO_HTTP_PORT}" --duration 60 \
-    --trace-head-rate 0.01 --trace-tail-min-ms 250 \
-    --slo-record "${SLO_ARTIFACT}" --slo-history "${SLO_HISTORY}" &
-SERVER_PID=$!
-python - "${SLO_HTTP_PORT}" <<'EOF'
-import json
-import sys
-import time
-import urllib.request
-
-port = sys.argv[1]
-base = f"http://127.0.0.1:{port}"
-
-
-def call(method, path, payload=None):
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(
-        base + path, data=data, method=method,
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=30) as response:
-        return json.load(response)
-
-
-for attempt in range(100):
-    try:
-        call("GET", "/healthz")
-        break
-    except OSError:
-        time.sleep(0.1)
-else:
-    sys.exit("sampled serve-http did not come up within 10s")
-
-document = {
-    "schema": "repro.service.requests",
-    "requests": [
-        {"op": "lis_length", "id": "len", "workload": "random", "n": 512, "seed": 11},
-    ],
-}
-for _ in range(20):
-    assert call("POST", "/v2/batch", document)["errors"] == 0
-
-stats = call("GET", "/stats")
-tracing = stats["tracing"]
-assert tracing["sampler"]["head_rate"] == 0.01, tracing["sampler"]
-assert tracing["sampled_total"] + tracing["dropped_total"] >= 20, tracing
-assert tracing["dropped_total"] > 0, "1% head sampling dropped nothing over 20 fast requests"
-
-slo = call("GET", "/debug/slo")
-assert slo["schema"] == "repro.server.slo", slo["schema"]
-by_name = {entry["name"]: entry for entry in slo["objectives"]}
-for name, summary in stats["slo"].items():
-    assert by_name[name]["totals"]["total"] == summary["total"], (
-        f"/debug/slo and /stats disagree on {name} totals"
-    )
-availability = by_name["batch-availability-99.9"]
-assert availability["totals"]["total"] >= 20, availability["totals"]
-assert availability["alerts"]["severity"] == "ok", availability["alerts"]
-print(
-    f"sampled serve-http OK: {tracing['dropped_total']} traces dropped at 1% head "
-    f"rate, /debug/slo reconciles with /stats, severity=ok across objectives"
-)
-EOF
-kill -INT "${SERVER_PID}"
-wait "${SERVER_PID}"
-SERVER_PID=""
-test -s "${SLO_ARTIFACT}" || { echo "missing SLO artifact ${SLO_ARTIFACT}"; exit 1; }
-test -s "${SLO_HISTORY}" || { echo "missing SLO history ${SLO_HISTORY}"; exit 1; }
 
 echo
 echo "== chaos serve-http cycle (--shards 2 + seeded fault plan): resilience =="
@@ -595,13 +516,10 @@ else:
 EOF
 
 echo
-echo "== repro report: recorded artifacts + trend + SLO (ASCII only) =="
-python -m repro report --trend --slo > /tmp/repro-smoke-report.txt
+echo "== repro report: recorded artifacts + trend (ASCII only) =="
+python -m repro report --trend > /tmp/repro-smoke-report.txt
 grep -q "perf trend" /tmp/repro-smoke-report.txt
-grep -q "SLO burn-rate summary" /tmp/repro-smoke-report.txt
-python -m repro report --slo "${SLO_ARTIFACT}" > /tmp/repro-smoke-slo-report.txt
-grep -q "burn_5m" /tmp/repro-smoke-slo-report.txt
-echo "report OK: $(wc -l < /tmp/repro-smoke-report.txt) lines rendered (+ SLO summary)"
+echo "report OK: $(wc -l < /tmp/repro-smoke-report.txt) lines rendered"
 
 echo
 echo "== artifact schema validation (fresh runs + everything in results/) =="
@@ -612,7 +530,6 @@ python -m repro validate "${STREAMING_ARTIFACT}"
 python -m repro validate "${STREAM_ARTIFACT}"
 python -m repro validate "${PERF_ARTIFACT}"
 python -m repro validate "${SHARD_ARTIFACT}"
-python -m repro validate "${SLO_ARTIFACT}"
 for recorded in results/*.json; do
     python -m repro validate "${recorded}"
 done

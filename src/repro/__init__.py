@@ -30,8 +30,8 @@ Public API highlights
   (``results/perf_trend.jsonl``).
 * :mod:`repro.obs` — the stdlib-only observability layer: process-safe
   metrics with Prometheus text exposition (``GET /metrics``), span-based
-  request tracing (``GET /debug/traces``) and the artifact/trend/SLO
-  report renderer behind ``python -m repro report``.
+  request tracing (``GET /debug/traces``) and the artifact/trend report
+  renderer behind ``python -m repro report``.
 * :mod:`repro.experiments` — the declarative experiment registry, runner and
   JSON artifacts behind the ``python -m repro`` CLI.
 """

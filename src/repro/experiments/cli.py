@@ -31,8 +31,7 @@ Subcommands
     Render every recorded artifact in ``results/`` (or an explicit list) as
     ASCII scaling curves and cache hit-rate summaries
     (:mod:`repro.obs.report`); ``--trend`` adds the perf-over-commits trend
-    table from ``results/perf_trend.jsonl``, and ``--slo`` adds the
-    burn-rate summary of recorded SLO evaluations.
+    table from ``results/perf_trend.jsonl``.
 ``validate <path>``
     Check an artifact file against the schema (exit 1 on failure).
 
@@ -77,8 +76,6 @@ from ..service import (
     parse_requests_document,
 )
 from .artifacts import (
-    SCHEMA_ID,
-    SCHEMA_VERSION,
     ArtifactError,
     load_artifact,
     result_to_artifact,
@@ -293,37 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve for S seconds then exit (default: until Ctrl-C)",
     )
     serve_http_parser.add_argument(
-        "--trace-head-rate",
-        type=float,
-        default=1.0,
-        metavar="R",
-        help="deterministic head-sampling rate in [0,1]: the fraction of "
-        "trace IDs retained unconditionally (tail-latency outliers are "
-        "kept regardless; default 1.0 = keep everything)",
-    )
-    serve_http_parser.add_argument(
-        "--trace-tail-min-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="absolute floor for tail retention: any trace slower than MS "
-        "is kept even before the quantile estimate has warmed up",
-    )
-    serve_http_parser.add_argument(
-        "--slo-record",
-        default=None,
-        metavar="PATH",
-        help="on shutdown, evaluate the SLO engine against the final "
-        "metrics snapshot and write the result as a schema-v1 artifact",
-    )
-    serve_http_parser.add_argument(
-        "--slo-history",
-        default=None,
-        metavar="PATH",
-        help="persist the SLO window history to a JSONL file and reload it "
-        "at startup, so burn rates survive server restarts",
-    )
-    serve_http_parser.add_argument(
         "--default-deadline-ms",
         type=float,
         default=None,
@@ -442,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_parser = sub.add_parser(
         "report",
-        help="render recorded artifacts as ASCII curves/tables (+ trend & SLO)",
+        help="render recorded artifacts as ASCII curves/tables (+ trend)",
     )
     report_parser.add_argument(
         "paths",
@@ -458,12 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="include the perf-over-commits trend table "
         "(default path: results/perf_trend.jsonl)",
-    )
-    report_parser.add_argument(
-        "--slo",
-        action="store_true",
-        help="include the SLO burn-rate summary from recorded slo_eval "
-        "artifacts (objectives x windows, alert severities)",
     )
 
     validate_parser = sub.add_parser("validate", help="validate an artifact file against the schema")
@@ -654,27 +614,15 @@ def _cmd_serve(args, out) -> int:
 
 
 def _cmd_serve_http(args, out) -> int:
-    from ..obs.sampling import TraceSampler
-    from ..obs.slo import SLOEngine
     from ..server import start_server
 
     service = _build_cli_service(args, {})
-    sampler = TraceSampler(
-        args.trace_head_rate,
-        tail_min_seconds=(
-            args.trace_tail_min_ms / 1000.0
-            if args.trace_tail_min_ms is not None
-            else None
-        ),
-    )
     handle = start_server(
         service,
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
         default_seed=args.seed,
-        sampler=sampler,
-        slo_engine=SLOEngine(history_path=args.slo_history),
         default_deadline_ms=args.default_deadline_ms,
     )
     shard_note = (
@@ -683,7 +631,6 @@ def _cmd_serve_http(args, out) -> int:
     # Bash starts the background jobs of a non-interactive script with
     # SIGINT ignored; restore Python's handler so `kill -INT` stops us.
     signal.signal(signal.SIGINT, signal.default_int_handler)
-    served_started = time.perf_counter()
     try:
         print(
             f"listening on {handle.url} "
@@ -699,12 +646,6 @@ def _cmd_serve_http(args, out) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        if args.slo_record:
-            # Evaluate against the final pre-shutdown snapshot: a sharded
-            # service's worker-process counters are only reachable while
-            # the pipes are still up.
-            evaluation = handle.core.slo.evaluate(handle.core.metrics_snapshot())
-            tracing = handle.core.tracer.stats()
         handle.stop()
         stats = handle.core.stats()
         requests = stats["requests"]
@@ -716,85 +657,7 @@ def _cmd_serve_http(args, out) -> int:
             file=out,
             flush=True,
         )
-        if args.slo_record:
-            document = _slo_eval_artifact(
-                evaluation, tracing, time.perf_counter() - served_started
-            )
-            write_document(document, args.slo_record)
-            print(f"wrote SLO artifact: {args.slo_record}", file=out, flush=True)
     return 0
-
-
-def _slo_eval_artifact(
-    evaluation: Dict[str, Any], tracing: Dict[str, Any], wall_seconds: float
-) -> Dict[str, Any]:
-    """Shape one SLO evaluation as a schema-v1 artifact document.
-
-    Grid points are (objective, window) pairs carrying the burn-rate math;
-    the full evaluation document and the tracer/sampler counters ride in
-    ``fixed`` so ``repro report --slo`` can render alerts without guessing.
-    """
-    from .. import __version__
-
-    points = []
-    for objective in evaluation["objectives"]:
-        for window_name, window in objective["windows"].items():
-            points.append(
-                {
-                    "params": {
-                        "objective": objective["name"],
-                        "window": window_name,
-                    },
-                    "metrics": {
-                        "burn_rate": window["burn_rate"],
-                        "error_ratio": window["error_ratio"],
-                        "good": window["good"],
-                        "total": window["total"],
-                        "coverage_seconds": window["coverage_seconds"],
-                        "severity": objective["alerts"]["severity"],
-                    },
-                    "seconds": float(window["coverage_seconds"]),
-                }
-            )
-    return {
-        "schema": SCHEMA_ID,
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "experiment": "slo_eval",
-        "title": "SLO burn-rate evaluation (python -m repro serve-http --slo-record)",
-        "claim": "multi-window burn rates derive from the same merged snapshot /metrics renders",
-        "quick": False,
-        "workers": 1,
-        "created_unix": time.time(),
-        "grid": {
-            "objective": [obj["name"] for obj in evaluation["objectives"]],
-            "window": (
-                list(evaluation["objectives"][0]["windows"])
-                if evaluation["objectives"]
-                else []
-            ),
-        },
-        "fixed": {
-            "thresholds": evaluation["thresholds"],
-            "objectives": [
-                {
-                    "name": obj["name"],
-                    "kind": obj["kind"],
-                    "target": obj["target"],
-                    "route": obj["route"],
-                    "threshold_seconds": obj["threshold_seconds"],
-                    "alerts": obj["alerts"],
-                }
-                for obj in evaluation["objectives"]
-            ],
-            "tracing": tracing,
-            "slo_schema": evaluation["schema"],
-            "slo_schema_version": evaluation["version"],
-            "now_unix": evaluation["now_unix"],
-        },
-        "wall_clock_seconds": float(wall_seconds),
-        "points": points,
-    }
 
 
 def _stream_artifact(args, session, points, seconds: float) -> Dict[str, Any]:
@@ -1021,12 +884,7 @@ def _cmd_report(args, out) -> int:
             file=sys.stderr,
         )
         return 1
-    text = render_report(
-        paths,
-        trend_path=args.trend,
-        slo=args.slo,
-    )
-    print(text, file=out)
+    print(render_report(paths, trend_path=args.trend), file=out)
     return 0
 
 

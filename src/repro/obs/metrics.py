@@ -192,19 +192,6 @@ class Histogram(_Metric):
                     "ts": time.time(),
                 }
 
-    def sample(self, **labels: Any) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            found = self._samples.get(_label_key(self.labelnames, labels))
-            if found is None:
-                return None
-            return {"counts": list(found["counts"]), "sum": found["sum"], "count": found["count"]}
-
-    def quantile(self, q: float, **labels: Any) -> Optional[float]:
-        found = self.sample(**labels)
-        if found is None or found["count"] == 0:
-            return None
-        return histogram_quantile(q, self.bounds, found["counts"])
-
     def _snapshot_samples(self) -> List[List[Any]]:
         out = []
         for key, v in self._samples.items():

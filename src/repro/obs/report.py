@@ -1,7 +1,7 @@
 """``python -m repro report`` — turn recorded artifacts into readable output.
 
 Loads any set of schema-v1 documents from ``results/``, renders per-experiment
-views (scaling curves, cache hit-rate tables, perf bars, SLO burn rates) and
+views (scaling curves, cache hit-rate tables, perf bars) and
 the perf-over-commits trend table from ``results/perf_trend.jsonl``.
 
 Everything renders in ASCII with zero third-party dependencies.
@@ -18,7 +18,6 @@ __all__ = [
     "load_documents",
     "render_document",
     "render_report",
-    "render_slo_summary",
     "render_trend_table",
     "ascii_bar",
     "format_table",
@@ -171,72 +170,11 @@ def _render_streaming(doc: Dict[str, Any]) -> str:
     return format_table(["workload", "tick_s", "rebuild_s", "speedup"], rows)
 
 
-_WINDOW_ORDER = ("5m", "1h", "6h", "3d")
-
-
-def _render_slo_eval(doc: Dict[str, Any]) -> str:
-    """Objectives x windows burn-rate table for one ``slo_eval`` artifact."""
-    by_objective: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    severities: Dict[str, str] = {}
-    for point in doc.get("points", []):
-        params = point.get("params", {})
-        metrics = point.get("metrics", {})
-        name = str(params.get("objective", "?"))
-        by_objective.setdefault(name, {})[str(params.get("window", "?"))] = metrics
-        severities[name] = str(metrics.get("severity", severities.get(name, "ok")))
-    window_names = [
-        w for w in _WINDOW_ORDER if any(w in ws for ws in by_objective.values())
-    ] or sorted({w for ws in by_objective.values() for w in ws})
-    rows = []
-    for name, windows in sorted(by_objective.items()):
-        row: List[Any] = [name]
-        for window in window_names:
-            metrics = windows.get(window)
-            row.append(_cell(float(metrics["burn_rate"])) + "x" if metrics else "-")
-        row.append(severities.get(name, "ok"))
-        rows.append(row)
-    table = format_table(["objective"] + [f"burn_{w}" for w in window_names] + ["severity"], rows)
-    thresholds = doc.get("fixed", {}).get("thresholds", {})
-    if thresholds:
-        table += (
-            f"\nalerts: page when both fast windows >= {thresholds.get('fast_burn')}x, "
-            f"ticket when both slow windows >= {thresholds.get('slow_burn')}x"
-        )
-    tracing = doc.get("fixed", {}).get("tracing", {})
-    if tracing:
-        table += (
-            f"\ntracing: {tracing.get('retained')}/{tracing.get('started')} traces "
-            f"retained (sampled={tracing.get('sampled_total')}, "
-            f"dropped={tracing.get('dropped_total')})"
-        )
-    return table
-
-
-def render_slo_summary(docs: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
-    """The ``--slo`` section: every recorded slo_eval document's alert state."""
-    head = _header("SLO burn-rate summary")
-    parts = [head]
-    found = False
-    for path, doc in docs:
-        if doc.get("experiment") != "slo_eval" or "_load_error" in doc:
-            continue
-        found = True
-        parts.append(f"[{os.path.basename(path)}]")
-        parts.append(_render_slo_eval(doc))
-    if not found:
-        parts.append(
-            "(no slo_eval artifacts found — record one with "
-            "`repro serve-http --slo-record results/slo_eval.json`)"
-        )
-    return "\n".join(parts)
-
-
 _RENDERERS: Dict[str, Callable[[Dict[str, Any]], str]] = {
     "shard_scaling": _render_shard_scaling,
     "service_throughput": _render_service_throughput,
     "perf_core": _render_perf_core,
     "streaming_throughput": _render_streaming,
-    "slo_eval": _render_slo_eval,
 }
 
 
@@ -293,13 +231,10 @@ def render_report(
     paths: Sequence[str],
     *,
     trend_path: Optional[str] = None,
-    slo: bool = False,
 ) -> str:
     """The full report text; the CLI prints this verbatim."""
     docs = load_documents(paths)
     sections = [render_document(path, doc) for path, doc in docs]
-    if slo:
-        sections.append(render_slo_summary(docs))
     if trend_path is not None:
         sections.append(render_trend_table(trend_path))
     return "\n\n\n".join(sections) + "\n"

@@ -17,13 +17,9 @@ paths such as the perf benchmark.  The same holds for
 spill/load, shard restart/retry, coalesce merge) that marks a moment
 inside the current span without opening a child.
 
-Retention is a policy, not a given: the tracer's
-:class:`~repro.obs.sampling.TraceSampler` takes the head decision at mint
-time (deterministic in the trace ID) and tail retention at completion
-time — a trace that lost the head lottery is still kept if its end-to-end
-latency crosses the per-route threshold.  The default sampler's head rate
-of 1.0 retains every completed trace.  The tracer counts each verdict in
-its own registry (:attr:`Tracer.metrics`).
+Every completed trace enters the ring and stays there until newer traces
+push it out; the tracer's own registry (:attr:`Tracer.metrics`) reports
+how full the ring is.
 
 Spans live in memory only; :meth:`Tracer.export_chrome` converts a trace to
 the Chrome trace-event JSON format (load via ``chrome://tracing`` or
@@ -42,8 +38,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
-from .metrics import MetricsRegistry, snapshot_value
-from .sampling import TraceSampler
+from .metrics import MetricsRegistry
 
 __all__ = [
     "Span",
@@ -123,16 +118,11 @@ class Trace:
         self.tracer = tracer
         self.trace_id = trace_id
         self.name = name
-        #: The route label the sampler keys its per-route tail threshold on.
+        #: The route label shown in the ring's summaries.
         self.route = route or name
-        #: Head-sampling verdict, fixed at mint time (deterministic in the
-        #: trace ID); the tracer's sampler sets it, default keep-everything.
-        self.head_sampled = True
-        #: Final retention outcome, set when the trace completes:
-        #: ``retained`` says whether it landed in the ring buffer,
-        #: ``retain_decision`` says why (``"head"`` / ``"tail"`` / ``None``).
+        #: Set once the last span finishes and the trace enters the ring; a
+        #: span that outlives the root (an abandoned pass) delays it.
         self.retained = False
-        self.retain_decision: Optional[str] = None
         self.origin = time.perf_counter()
         self.wall_start = time.time()
         self.spans: List[Span] = []
@@ -192,7 +182,6 @@ class Trace:
             "duration_s": self._root.duration if self._root else None,
             "span_count": count,
             "event_count": events,
-            "retain_decision": self.retain_decision,
         }
 
     def to_chrome(self) -> Dict[str, Any]:
@@ -275,30 +264,14 @@ def span_event(name: str, **attrs: Any) -> None:
 
 
 class Tracer:
-    """Mints traces and retains the most recent completed ones.
+    """Mints traces and keeps the ``capacity`` most recent completed ones."""
 
-    The ``sampler`` (default: head rate 1.0, keep everything) decides which
-    completed traces the ring buffer holds; :attr:`metrics` counts each
-    decision once and :meth:`stats` reads it.
-    """
-
-    def __init__(self, capacity: int = 128, sampler: Optional[TraceSampler] = None):
+    def __init__(self, capacity: int = 128):
         self.capacity = capacity
-        self.sampler = sampler if sampler is not None else TraceSampler()
         self._completed: "deque[Trace]" = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._started = 0
         self.metrics = MetricsRegistry()
-        self._sampled = self.metrics.counter(
-            "repro_traces_sampled_total",
-            "Completed traces retained by the sampler, by decision (head|tail)",
-            ("decision",),
-        )
-        self._dropped = self.metrics.counter(
-            "repro_traces_dropped_total",
-            "Completed traces dropped by the sampler (lost the head lottery, "
-            "under the tail threshold)",
-        )
         self._ring_occupancy = self.metrics.gauge(
             "repro_trace_ring_occupancy",
             "Completed traces currently retained in the tracer ring buffer",
@@ -308,12 +281,9 @@ class Tracer:
     def start_trace(self, name: str, route: Optional[str] = None, **attrs: Any) -> Iterator[Trace]:
         """Begin a trace with a fresh root span installed in the context.
 
-        ``route`` keys the sampler's per-route tail threshold (defaults to
-        ``name``); the head-sampling verdict is fixed here, deterministically
-        in the minted trace ID.
+        ``route`` labels the trace's summary (defaults to ``name``).
         """
         trace = Trace(self, uuid.uuid4().hex[:16], name, route=route)
-        trace.head_sampled = self.sampler.head_decision(trace.trace_id)
         with self._lock:
             self._started += 1
         root = trace.new_span(name, None, attrs)
@@ -325,18 +295,10 @@ class Tracer:
             root.finish()
 
     def _on_trace_finished(self, trace: Trace) -> None:
-        duration = trace.root.duration if trace.root is not None else 0.0
-        keep, decision = self.sampler.decide(trace.route, duration or 0.0, trace.head_sampled)
-        trace.retained = keep
-        trace.retain_decision = decision
         with self._lock:
-            if keep:
-                self._completed.append(trace)
+            self._completed.append(trace)
+            trace.retained = True
             occupancy = len(self._completed)
-        if keep:
-            self._sampled.inc(decision=decision)
-        else:
-            self._dropped.inc()
         self._ring_occupancy.set(occupancy)
 
     # ----------------------------------------------------------------- query
@@ -352,17 +314,12 @@ class Tracer:
         return None
 
     def stats(self) -> Dict[str, Any]:
-        snapshot = self.metrics.snapshot()
         with self._lock:
-            started, retained = self._started, len(self._completed)
-        return {
-            "started": started,
-            "retained": retained,
-            "capacity": self.capacity,
-            "sampled_total": snapshot_value(snapshot, "repro_traces_sampled_total"),
-            "dropped_total": snapshot_value(snapshot, "repro_traces_dropped_total"),
-            "sampler": self.sampler.config(),
-        }
+            return {
+                "started": self._started,
+                "retained": len(self._completed),
+                "capacity": self.capacity,
+            }
 
     def summaries(self) -> List[Dict[str, Any]]:
         return [trace.summary() for trace in reversed(self.completed())]

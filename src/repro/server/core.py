@@ -63,8 +63,6 @@ from ..obs.metrics import (
     snapshot_timing,
     snapshot_value,
 )
-from ..obs.sampling import TraceSampler
-from ..obs.slo import SLOEngine
 from ..obs.trace import Tracer, current_trace_id, span, span_event
 from ..resilience.deadline import (
     Deadline,
@@ -92,12 +90,8 @@ __all__ = [
 
 BATCH_SCHEMA_ID = "repro.server.batch"
 STATS_SCHEMA_ID = "repro.server.stats"
-STATS_SCHEMA_VERSION = 7
+STATS_SCHEMA_VERSION = 8
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Period of the background task that appends a row to the SLO history
-#: file (seconds).
-_SLO_EVAL_SECONDS = 5.0
 
 
 def _swallow_future_error(future: "asyncio.Future") -> None:
@@ -181,8 +175,6 @@ class ServerCore:
         retry_after_seconds: float = 1.0,
         default_seed: Optional[int] = None,
         trace_capacity: int = 128,
-        sampler: Optional[TraceSampler] = None,
-        slo_engine: Optional[SLOEngine] = None,
         default_deadline_ms: Optional[float] = None,
     ) -> None:
         if max_inflight < 1:
@@ -213,14 +205,9 @@ class ServerCore:
         self._tasks: set = set()
         self._started = time.perf_counter()
         #: Per-request traces, minted at the HTTP edge for batch POSTs;
-        #: the sampler (default head_rate=1.0: keep every completed trace)
-        #: decides which land in the bounded ring buffer behind
+        #: every completed trace enters the bounded ring buffer behind
         #: ``GET /debug/traces``.
-        self.tracer = Tracer(capacity=trace_capacity, sampler=sampler)
-        #: Declarative objectives with multi-window burn rates, evaluated
-        #: from the same merged snapshot ``/metrics`` renders
-        #: (``GET /debug/slo``).
-        self.slo = slo_engine if slo_engine is not None else SLOEngine()
+        self.tracer = Tracer(capacity=trace_capacity)
         #: Deadline budget applied to every ``POST /v2/batch`` that does
         #: not carry its own ``X-Repro-Deadline-Ms`` header.  ``None`` keeps
         #: the historical unbounded behaviour.
@@ -276,7 +263,7 @@ class ServerCore:
             "repro_server_builds_total", "Background builds started, done or failed", ("event",)
         )
         self._internal_errors = counter(
-            "repro_server_internal_errors_total", "500 answers and failed SLO evaluations"
+            "repro_server_internal_errors_total", "500 answers"
         )
 
     # ---------------------------------------------------------------- lifecycle
@@ -290,23 +277,6 @@ class ServerCore:
         self._executor = ThreadPoolExecutor(
             max_workers=self.service_concurrency, thread_name_prefix="repro-service"
         )
-        if self.slo.history_path is not None:
-            # The window history must persist across restarts even when
-            # nobody reads /debug/slo, which otherwise evaluates on demand.
-            self._spawn(self._slo_loop())
-
-    def _record_slo(self) -> None:
-        """One SLO history row (runs on the service thread: snapshots poll pipes)."""
-        self.slo.record(self.metrics_snapshot())
-
-    async def _slo_loop(self) -> None:
-        """Periodic SLO recording: appends to the history file."""
-        while True:
-            await asyncio.sleep(_SLO_EVAL_SECONDS)
-            try:
-                await self._in_service_thread(self._record_slo)
-            except Exception:  # noqa: BLE001 — the recording loop must survive
-                self._internal_errors.inc()
 
     async def shutdown(self) -> None:
         for task in list(self._tasks):
@@ -393,12 +363,7 @@ class ServerCore:
                     self._encode({"error": exc.message, "status": exc.status}),
                 )
             else:
-                # The trace-everything path is gone: every batch is still
-                # *traced* (tail retention needs the duration of every
-                # request), but the sampler decides at completion whether
-                # the trace stays in the ring buffer.  The head verdict is
-                # deterministic in the trace ID; the route keys the
-                # per-route tail threshold.  The deadline scope wraps the
+                # Every batch is traced.  The deadline scope wraps the
                 # trace so every span below can read the remaining budget.
                 with deadline_scope(deadline):
                     with self.tracer.start_trace(
@@ -407,9 +372,10 @@ class ServerCore:
                         status, headers_out, payload = await self._handle_routed(
                             method, path, query, body
                         )
-                # The root span finished when the with-block exited, so the
-                # retention verdict is in; only retained traces become
-                # exemplars — an exemplar must resolve via /debug/traces/<id>.
+                # The root span finished when the with-block exited; the
+                # trace is in the ring unless a span below outlives it (an
+                # abandoned pass), and an exemplar must resolve via
+                # /debug/traces/<id>.
                 if trace.retained:
                     exemplar = trace.trace_id
         else:
@@ -457,7 +423,6 @@ class ServerCore:
         known = {
             "/", "/healthz", "/stats", "/metrics", "/v2/batch",
             "/builds", "/sessions", "/debug/traces", "/debug/exemplars",
-            "/debug/slo",
         }
         return path if path in known else "(unknown)"
 
@@ -483,15 +448,12 @@ class ServerCore:
                     "schema": "repro.server.traces",
                     "version": 1,
                     **self.tracer.stats(),
-                    "tail_thresholds": self.tracer.sampler.route_state(),
                     "traces": self.tracer.summaries(),
                 }
             if path.startswith("/debug/traces/"):
                 return self._get_trace(path[len("/debug/traces/"):], query)
             if path == "/debug/exemplars":
                 return self._get_exemplars()
-            if path == "/debug/slo":
-                return self.slo.evaluate(self.metrics_snapshot())
             if path == "/builds":
                 return {"builds": [dict(rec) for rec in self._builds.values()]}
             if path.startswith("/builds/"):
@@ -529,8 +491,8 @@ class ServerCore:
         cache's registries, or a shard router's registry plus one
         shard-stamped snapshot per shard, shipped over the router pipes),
         and point-in-time fragments (uptime, build info).  ``/metrics``,
-        ``/debug/exemplars``, ``/debug/slo`` and ``/stats`` all derive from
-        this one snapshot.
+        ``/debug/exemplars`` and ``/stats`` all derive from this one
+        snapshot.
         """
         from .. import __version__
 
@@ -1075,7 +1037,6 @@ class ServerCore:
             },
             "resilience": {
                 "default_deadline_ms": self.default_deadline_ms,
-                "slo_history_path": self.slo.history_path,
             },
             "coalescing": {
                 "passes": count("repro_server_passes_total"),
@@ -1097,7 +1058,6 @@ class ServerCore:
             },
             "sessions": {"live": len(self._sessions)},
             "tracing": self.tracer.stats(),
-            "slo": self.slo.totals_summary(snapshot),
             "timings": {
                 "queue_wait": snapshot_timing(snapshot, "repro_server_queue_wait_seconds"),
                 "answer": snapshot_timing(snapshot, "repro_server_answer_seconds"),

@@ -176,7 +176,7 @@ def start_server(
     """Start an HTTP front-end; returns a :class:`ServerHandle` (``port=0`` ⇒ ephemeral).
 
     ``options`` go straight to :class:`~repro.server.core.ServerCore`
-    (admission limits, retry hint, default seed, trace sampler, SLO engine,
+    (admission limits, retry hint, default seed, trace ring capacity,
     default deadline).  The server runs on a dedicated event-loop thread.
 
     The caller owns the handle: ``handle.stop()`` closes the listener and

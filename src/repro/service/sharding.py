@@ -41,7 +41,8 @@ Observability: every router count and timing lives in the router's own
 :class:`~repro.obs.metrics.MetricsRegistry` (``router.metrics``), every
 shard's counts in its service and cache registries, which process shards,
 inline shards and the degraded fallback all answer one ``metrics`` command
-with.  A scrape never waits for a busy worker: it serves that shard's last
+with.  A scrape never waits for a busy worker (one running a command or
+still computing a deadline-abandoned one): it serves that shard's last
 polled snapshot and says how old it is.  ``/metrics`` and
 :meth:`ShardRouter.stats` read those snapshots —
 requests routed per shard, load imbalance (max/mean), worker restarts and
@@ -361,6 +362,10 @@ class _WorkerBase:
     ) -> Any:
         raise NotImplementedError
 
+    def owes_answer(self) -> bool:
+        """Whether the worker is still computing a deadline-abandoned call."""
+        return False
+
     def restart(self) -> None:
         raise NotImplementedError
 
@@ -451,6 +456,21 @@ class _ProcessWorker(_WorkerBase):
             raise ServiceRequestError(message)
         raise RuntimeError(f"shard {self.shard_id} worker error: {message}")
 
+    def owes_answer(self) -> bool:
+        """Drain the abandoned calls' answers that are already readable;
+        True while one is still being computed.
+
+        A dead pipe reads as owing nothing: the next call's crash path
+        restarts the worker.
+        """
+        try:
+            while self._stale > 0 and self.conn.poll(0):
+                self.conn.recv()
+                self._stale -= 1
+        except (EOFError, OSError):
+            return False
+        return self._stale > 0
+
     def _drain_stale(self, hang_at: Optional[float]) -> None:
         """Discard answers owed to deadline-abandoned calls (resync the pipe)."""
         while self._stale > 0:
@@ -536,6 +556,7 @@ class _ProcessWorker(_WorkerBase):
             except OSError:
                 pass
             self.conn = None
+            self._stale = 0  # the closed pipe's owed answers went with it
         if self.process is not None:
             self.process.join(timeout=5.0)
             if self.process.is_alive():
@@ -834,7 +855,8 @@ class ShardRouter:
         attempt's outcome feeds the shard's circuit breaker, which turns a
         crash loop into degraded serving.  A closed router refuses the call
         before it takes the lock, so it never respawns a stopped worker.
-        With ``wait=False`` a worker that is running another command raises
+        With ``wait=False`` a worker that is running another command, or
+        still computing a deadline-abandoned one, raises
         :class:`_WorkerBusy` at once instead of being waited for.
         """
         if self.closed:
@@ -845,6 +867,8 @@ class ShardRouter:
         if not worker.lock.acquire(blocking=wait):
             raise _WorkerBusy(f"shard {shard_id} is running another command")
         try:
+            if not wait and worker.owes_answer():
+                raise _WorkerBusy(f"shard {shard_id} is computing an abandoned call")
             waited = time.perf_counter() - waited_from
             last_crash: Optional[ShardWorkerCrash] = None
             attempt = 0
@@ -1111,7 +1135,8 @@ class ShardRouter:
         Every shard answers the one ``metrics`` command, whatever serves it:
         a worker process, an inline shard, or (labelled ``"fallback"``, once
         a breaker has opened) the degraded fallback.  A poll never waits for
-        a busy worker: it serves that shard's last polled snapshot, with its
+        a busy worker, including one that still owes a deadline-abandoned
+        call's answer: it serves that shard's last polled snapshot, with its
         age in seconds, or ``None`` for both before the shard's first poll.
         The fallback's registries take their own locks, so they are read
         without ``_fallback_lock``, which a degraded pass holds throughout.

@@ -32,7 +32,6 @@ from repro.obs.metrics import (
     relabel_snapshot,
     render_prometheus,
 )
-from repro.obs.sampling import TraceSampler
 from repro.obs.trace import Tracer, current_trace_id, span
 
 
@@ -219,9 +218,6 @@ class TestTracing:
             "started": 5,
             "retained": 2,
             "capacity": 2,
-            "sampled_total": 5,
-            "dropped_total": 0,
-            "sampler": TraceSampler().config(),
         }
 
 
@@ -342,10 +338,12 @@ class TestServerObservability:
 
         status, _, stats = get_json(sharded_server.url + "/stats")
         assert status == 200
-        assert stats["stats_schema"] == "repro.server.stats.v7"
-        assert stats["version"] == 7
+        assert stats["stats_schema"] == "repro.server.stats.v8"
+        assert stats["version"] == 8
         assert "plan" not in stats["service"]
         assert "backend" not in stats["service"]
+        assert "slo" not in stats and "slo_history_path" not in stats["resilience"]
+        assert set(stats["tracing"]) == {"started", "retained", "capacity"}
 
 
 # ------------------------------------------- /stats and /metrics: one store

@@ -24,7 +24,6 @@ import time
 import pytest
 
 from repro.obs.metrics import snapshot_value
-from repro.obs.slo import SLOEngine, SLObjective, WINDOWS
 from repro.resilience import (
     BREAKER_STATE_CODES,
     BreakerConfig,
@@ -326,111 +325,6 @@ class TestFaultPlan:
         assert stats["fired_total"] == 1
         assert stats["rules"][0]["hit_count"] == 2
         assert stats["rules"][0]["fired"] == 1
-
-
-# --------------------------------------------------------------- SLO history
-class TestSLOHistory:
-    def _snapshot(self, good, total):
-        return {
-            "repro_http_requests_total": {
-                "type": "counter",
-                "samples": [
-                    [[["method", "POST"], ["route", "/v2/batch"], ["status", "200"]], good],
-                    [[["method", "POST"], ["route", "/v2/batch"], ["status", "500"]], total - good],
-                ],
-            }
-        }
-
-    def _objective(self):
-        return SLObjective(
-            name="avail", kind="availability", target=0.99, route="/v2/batch"
-        )
-
-    def test_history_persists_and_reloads(self, tmp_path):
-        path = str(tmp_path / "slo.jsonl")
-        clock = FakeClock(start=100000.0)
-        engine = SLOEngine([self._objective()], clock=clock, history_path=path)
-        engine.record(self._snapshot(90, 100))
-        clock.advance(60.0)
-        engine.record(self._snapshot(180, 200))
-
-        reloaded = SLOEngine([self._objective()], clock=clock, history_path=path)
-        assert len(reloaded._history) == 2
-        assert reloaded._history[-1][1]["avail"] == (180.0, 200.0)
-
-    def test_offsets_keep_the_series_monotone_across_restart(self, tmp_path):
-        path = str(tmp_path / "slo.jsonl")
-        clock = FakeClock(start=100000.0)
-        engine = SLOEngine([self._objective()], clock=clock, history_path=path)
-        engine.record(self._snapshot(500, 600))
-
-        # "Restart": fresh process counters start from zero again.
-        clock.advance(30.0)
-        restarted = SLOEngine([self._objective()], clock=clock, history_path=path)
-        restarted.record(self._snapshot(10, 10))
-        times_totals = list(restarted._history)
-        assert times_totals[-1][1]["avail"] == (510.0, 610.0)  # offset applied
-        # Once the pre-restart row sits at the 5m edge it becomes the
-        # window baseline: the delta over the restart is the fresh traffic
-        # only — no negative jump, no double count.
-        clock.advance(280.0)
-        doc = restarted.evaluate(self._snapshot(10, 10))
-        window = doc["objectives"][0]["windows"]["5m"]
-        assert window["total"] == pytest.approx(10.0)
-        assert window["good"] == pytest.approx(10.0)
-
-    def test_old_rows_pruned_on_load(self, tmp_path):
-        path = tmp_path / "slo.jsonl"
-        clock = FakeClock(start=1000000.0)
-        stale_ts = clock.now - WINDOWS[-1][1] - 3600.0
-        rows = [
-            {"ts": stale_ts, "totals": {"avail": [1, 2]}},
-            {"ts": clock.now - 10.0, "totals": {"avail": [3, 4]}},
-            "not json at all",
-        ]
-        path.write_text(
-            "\n".join(r if isinstance(r, str) else json.dumps(r) for r in rows) + "\n"
-        )
-        engine = SLOEngine([self._objective()], clock=clock, history_path=str(path))
-        assert len(engine._history) == 1
-        assert engine._history[0][1]["avail"] == (3.0, 4.0)
-
-    def test_no_history_path_means_no_files(self, tmp_path):
-        engine = SLOEngine([self._objective()], clock=FakeClock())
-        engine.record(self._snapshot(1, 1))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_server_appends_history_rows_while_serving(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.server.core._SLO_EVAL_SECONDS", 0.05)
-        path = tmp_path / "slo.jsonl"
-        handle = start_server(
-            QueryService(), slo_engine=SLOEngine(history_path=str(path))
-        )
-        try:
-            assert len(handle.core._tasks) == 1
-            status, _, _ = post_json(handle.url + "/v2/batch", _BATCH)
-            assert status == 200
-            # Wait (bounded) for a periodic row recorded after the batch.
-            served = []
-            give_up = time.monotonic() + 10.0
-            while not served and time.monotonic() < give_up:
-                time.sleep(0.05)
-                text = path.read_text() if path.exists() else ""
-                rows = [json.loads(line) for line in text.splitlines()]
-                served = [
-                    row for row in rows
-                    if row["totals"]["batch-availability-99.9"][1] >= 1
-                ]
-            assert served, "no SLO history row recorded the served batch"
-        finally:
-            handle.stop()
-
-    def test_no_history_path_means_no_background_task(self):
-        handle = start_server(QueryService())
-        try:
-            assert handle.core._tasks == set()
-        finally:
-            handle.stop()
 
 
 # ----------------------------------------------------- router integration

@@ -437,6 +437,35 @@ class TestRouterBehindServer:
             handle.stop()
 
 
+    def test_scrapes_never_wait_on_an_abandoned_answer(self):
+        """A deadline-abandoned cold build leaves its worker owing an answer;
+        a scrape serves the shard's last snapshot instead of draining it."""
+        cold = {
+            "requests": [
+                {"op": "lis_length", "id": "cold", "workload": "random", "n": 12000, "seed": 5}
+            ]
+        }
+        router = ShardRouter(1)
+        handle = start_server(router)
+        try:
+            status, _, stats = get_json(handle.url + "/stats")
+            assert status == 200
+            assert stats["service"]["per_shard"][0]["snapshot_age_seconds"] == 0.0
+
+            status, _, body = post_json(
+                handle.url + "/v2/batch", cold, headers={"X-Repro-Deadline-Ms": "50"}
+            )
+            assert status == 504 and body["deadline_expired"] == 1
+            status, _, stats = get_json(handle.url + "/stats")
+            assert status == 200
+            doc = stats["service"]["per_shard"][0]
+            assert doc["snapshot_age_seconds"] > 0.0
+            # Served while the build still runs: the answer is still owed.
+            assert router._workers[0]._stale == 1
+        finally:
+            handle.stop()
+
+
 # ------------------------------------------------------------ spec + CLI
 class TestShardScalingSpecAndCli:
     def test_quick_spec_passes_checks(self):
