@@ -122,7 +122,10 @@ warm = call("POST", "/v2/batch", document)
 assert all(entry["cache_hit"] for entry in warm["results"]), "warm POST missed the cache"
 assert [e["result"] for e in cold["results"]] == [e["result"] for e in warm["results"]]
 
-build = call("POST", "/builds", {"workload": "near_sorted", "n": 512, "seed": 5})
+# Above the semi-local leaf size (DENSE_BLOCK_SIZE = 4096): smaller builds
+# are one comb with no product, and this build keeps the multiply engine's
+# repro_multiply_total series live for the /metrics check below.
+build = call("POST", "/builds", {"workload": "near_sorted", "n": 5000, "seed": 5})
 for attempt in range(200):
     record = call("GET", f"/builds/{build['token']}")
     if record["status"] in ("done", "failed"):

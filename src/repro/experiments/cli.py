@@ -60,6 +60,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import signal
@@ -613,9 +614,39 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
+#: glibc's ``M_MMAP_THRESHOLD`` parameter (``<malloc.h>``).
+_M_MMAP_THRESHOLD = -3
+
+#: Allocations of at least this many bytes get their own mapping in
+#: ``serve-http`` (glibc's initial threshold, pinned).
+MMAP_THRESHOLD_BYTES = 128 * 1024
+
+
+def _pin_mmap_threshold() -> bool:
+    """Give every allocation of 128 KiB or more its own mapping.
+
+    glibc raises its mmap threshold to the size of each mapped block that
+    is freed.  Once a server frees its first index table of 2 MiB or more,
+    later tables of that size come from the heap, which fragments as they
+    are freed: peak RSS then grows with the number of requests served, not
+    with the largest build.  Setting the threshold also turns that dynamic
+    raise off, so freed tables go back to the system.  Forked shard workers
+    inherit the setting.  Returns whether it took; without ``mallopt`` (a
+    libc other than glibc) nothing happens.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES))
+
+
 def _cmd_serve_http(args, out) -> int:
     from ..server import start_server
 
+    _pin_mmap_threshold()  # before any index is built
     service = _build_cli_service(args, {})
     handle = start_server(
         service,

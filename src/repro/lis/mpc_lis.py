@@ -34,7 +34,7 @@ from ..mpc.cluster import MPCCluster, SORT_ROUNDS
 from ..mpc_monge.constant_round import MongeMPCConfig
 from ..mpc_monge.subpermutation import mpc_multiply_subpermutation
 from ..mpc_monge.warmup import warmup_config
-from .semilocal import SemiLocalLIS, _build_recursive, embed_into_universe, rank_transform
+from .semilocal import SemiLocalLIS, build_block_matrices, embed_into_universe, rank_transform
 
 __all__ = ["MPCLISResult", "mpc_lis_length", "mpc_lis_matrix", "mpc_semilocal_lis"]
 
@@ -50,11 +50,6 @@ class MPCLISResult:
 
     def __int__(self) -> int:  # pragma: no cover - convenience
         return self.length
-
-
-def _local_block_matrix(coords_split: np.ndarray, coords_index: np.ndarray) -> SubPermutation:
-    """Build a block's semi-local matrix on a single machine (no rounds)."""
-    return _build_recursive(coords_split, coords_index, multiply)
 
 
 #: Signature of the multiplication used by the merge phase: it receives the
@@ -140,13 +135,16 @@ def mpc_lis_matrix(
     index_sorted = index_coords[order]
 
     # --- local phase: every machine builds its block matrix -----------------
+    # The machines work without communication, so the simulator builds every
+    # block in one call (their leaves share one comb) and charges each
+    # machine its own load.
+    spans = [(int(bounds[b]), int(bounds[b + 1])) for b in range(num_blocks)]
+    matrices = build_block_matrices(
+        [(split_sorted[lo:hi], index_sorted[lo:hi]) for lo, hi in spans], multiply
+    )
     blocks: List[Tuple[SubPermutation, np.ndarray]] = []
-    for b in range(num_blocks):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        blk_split = split_sorted[lo:hi]
-        blk_index = index_sorted[lo:hi]
-        matrix = _local_block_matrix(blk_split, blk_index)
-        blocks.append((matrix, np.sort(blk_index)))
+    for matrix, (lo, hi) in zip(matrices, spans):
+        blocks.append((matrix, np.sort(index_sorted[lo:hi])))
         cluster.stats.record_load(3 * (hi - lo))
     cluster.stats.local_operations += n
 

@@ -482,25 +482,30 @@ class ServerCore:
         raise _HttpError(405, f"method {method} not allowed")
 
     # ----------------------------------------------------------------- metrics
-    def metrics_snapshot(self) -> Dict[str, Any]:
+    def metrics_snapshot(
+        self, service_snapshots: Optional[List[Dict[str, Any]]] = None
+    ) -> Dict[str, Any]:
         """The merged metrics snapshot every observability surface reads.
 
         Merges the process-global registry (multiply engine, arena, fault
         and deadline counters), this core's and its tracer's registries,
         the service's :meth:`metric_snapshots` (a plain service's and its
         cache's registries, or a shard router's registry plus one
-        shard-stamped snapshot per shard, shipped over the router pipes),
-        and point-in-time fragments (uptime, build info).  ``/metrics``,
+        shard-stamped snapshot per shard, shipped over the router pipes;
+        ``service_snapshots`` when the caller already read them), and
+        point-in-time fragments (uptime, build info).  ``/metrics``,
         ``/debug/exemplars`` and ``/stats`` all derive from this one
         snapshot.
         """
         from .. import __version__
 
+        if service_snapshots is None:
+            service_snapshots = self.service.metric_snapshots()
         return merge_snapshots(
             get_registry().snapshot(),
             self.metrics.snapshot(),
             self.tracer.metrics.snapshot(),
-            *self.service.metric_snapshots(),
+            *service_snapshots,
             gauge_fragment(
                 "repro_server_uptime_seconds",
                 time.perf_counter() - self._started,
@@ -1010,9 +1015,12 @@ class ServerCore:
 
         Counts are sums of the snapshot's series; ``timings`` summarise its
         histograms (``p99_seconds`` is a bucket estimate).  Queue depths are
-        the live control state.
+        the live control state.  The service section comes from the same
+        :meth:`scrape` as the snapshot, so a shard router polls each shard
+        once per document.
         """
-        snapshot = self.metrics_snapshot()
+        service_snapshots, service_stats = self.service.scrape()
+        snapshot = self.metrics_snapshot(service_snapshots)
         count = functools.partial(snapshot_value, snapshot)
         return {
             "schema": STATS_SCHEMA_ID,
@@ -1063,5 +1071,5 @@ class ServerCore:
                 "answer": snapshot_timing(snapshot, "repro_server_answer_seconds"),
                 "build_wait": snapshot_timing(snapshot, "repro_server_build_wait_seconds"),
             },
-            "service": self.service.stats(),
+            "service": service_stats,
         }

@@ -151,9 +151,12 @@ class QueryService:
         self.cache = cache if cache is not None else IndexCache()
         self.mode = mode
         self.delta = float(delta)
-        #: ``(target, kind, strict) -> fingerprint`` memo: TargetSpec fully
-        #: determines the input content, so warm submits skip both the O(n)
-        #: target realisation and the SHA-256 over its bytes.
+        #: ``(target, kind, strict) -> fingerprint`` memo of named-workload
+        #: targets: TargetSpec fully determines the input content, so warm
+        #: submits skip both running the generator and the SHA-256 over its
+        #: bytes.  Inline targets are not remembered: they carry their
+        #: content already, and the memo would keep every sequence a client
+        #: ever sent.
         self._fingerprints: Dict[Tuple[TargetSpec, str, bool], str] = {}
         self.metrics = MetricsRegistry()
         counter, histogram = self.metrics.counter, self.metrics.histogram
@@ -203,7 +206,8 @@ class QueryService:
                 fingerprint = lcs_index_fingerprint(*realised)
             else:
                 fingerprint = lis_index_fingerprint(realised, kind, strict)
-            self._fingerprints[key] = fingerprint
+            if target.workload is not None:
+                self._fingerprints[key] = fingerprint
         def _traced_build() -> SemiLocalIndex:
             fault_point("index.build", kind=kind)
             with span("build", kind=kind, fingerprint=fingerprint[:12]):
@@ -418,10 +422,11 @@ class QueryService:
 
     def stats(self) -> Dict[str, Any]:
         """Cumulative service statistics plus the cache counters (JSON-safe)."""
-        counts = service_counters(merge_snapshots(*self.metric_snapshots()))
+        return self.scrape()[1]
+
+    def scrape(self) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        """:meth:`metric_snapshots` and :meth:`stats` from one read of the registries."""
+        snapshots = self.metric_snapshots()
+        counts = service_counters(merge_snapshots(*snapshots))
         counts["cache"]["max_bytes"] = int(self.cache.max_bytes)
-        return {
-            "mode": self.mode,
-            "delta": self.delta,
-            **counts,
-        }
+        return snapshots, {"mode": self.mode, "delta": self.delta, **counts}

@@ -806,7 +806,9 @@ class ShardRouter:
 
     # --------------------------------------------------------------- routing
     def routing_fingerprint(self, target: TargetSpec, kind: str, strict: bool) -> str:
-        """The content fingerprint a request routes by (memoised per spec)."""
+        """The content fingerprint a request routes by (memoised per named
+        workload; an inline target is hashed each time, as it carries its
+        content and remembering it would keep every sequence ever sent)."""
         key = (target, kind, strict)
         fingerprint = self._fingerprints.get(key)
         if fingerprint is None:
@@ -815,7 +817,8 @@ class ShardRouter:
                 fingerprint = lcs_index_fingerprint(*realised)
             else:
                 fingerprint = lis_index_fingerprint(realised, kind, strict)
-            self._fingerprints[key] = fingerprint
+            if target.workload is not None:
+                self._fingerprints[key] = fingerprint
         return fingerprint
 
     def shard_for(self, target: TargetSpec, kind: str, strict: bool) -> int:
@@ -1166,16 +1169,26 @@ class ShardRouter:
     def metric_snapshots(self) -> List[Dict[str, Any]]:
         """The router's registry, then one shard-stamped snapshot per shard.
 
-        The router's registry is read before the polls, which can restart a
-        worker and count it there.  A busy shard contributes its last polled
-        snapshot; a shard that cannot answer, or is busy before its first
-        poll, is skipped rather than failing the scrape.
+        A busy shard contributes its last polled snapshot; a shard that
+        cannot answer, or is busy before its first poll, is skipped rather
+        than failing the scrape.
         """
-        snapshots: List[Dict[str, Any]] = [self.metrics.snapshot()]
-        for shard, snap, _ in self._poll_shards():
+        return self.scrape()[0]
+
+    def scrape(self) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        """:meth:`metric_snapshots` and :meth:`stats` from one poll of every shard.
+
+        ``/stats`` shows both, so both halves of its document read the same
+        shard snapshots.  The router's registry is read after the poll,
+        which can restart a dead worker and count it there.
+        """
+        polled = self._poll_shards()
+        snapshot = self.metrics.snapshot()
+        snapshots: List[Dict[str, Any]] = [snapshot]
+        for shard, snap, _ in polled:
             if isinstance(snap, dict):
                 snapshots.append(relabel_snapshot(snap, {"shard": shard}))
-        return snapshots
+        return snapshots, self._stats(polled, snapshot)
 
     # ----------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:
@@ -1191,9 +1204,11 @@ class ShardRouter:
         how old its counts are: 0 when polled now, older while the shard is
         busy, ``None`` when no snapshot is shown.
         """
-        polled = self._poll_shards()
-        # Read after the polls, which can restart a dead worker.
-        snapshot = self.metrics.snapshot()
+        return self.scrape()[1]
+
+    def _stats(
+        self, polled: List[Tuple[str, Any, Optional[float]]], snapshot: Dict[str, Any]
+    ) -> Dict[str, Any]:
         count = functools.partial(snapshot_value, snapshot)
         per_shard: List[Dict[str, Any]] = []
         for worker, (shard, snap, age) in zip(self._workers, polled):

@@ -40,7 +40,7 @@ from ..lis.semilocal import (
     DENSE_BLOCK_SIZE,
     MultiplyFn,
     SemiLocalLIS,
-    _build_recursive,
+    build_block_matrices,
     embed_into_universe,
     validate_intervals,
 )
@@ -139,7 +139,7 @@ def build_block_product(
     multiply_fn: MultiplyFn = multiply,
     dense_block_size: int = DENSE_BLOCK_SIZE,
 ) -> BlockProduct:
-    """Build one run's product from scratch (``_build_recursive`` machinery).
+    """Build one run's product from scratch (``build_block_matrices``).
 
     ``values`` are in *window order*; ``ties`` are the per-element tie-break
     keys (see :func:`_lexicographic_ranks`).
@@ -148,8 +148,8 @@ def build_block_product(
     ties = np.asarray(ties, dtype=np.int64)
     m = len(values)
     order, ranks = _lexicographic_ranks(values, ties)
-    matrix = _build_recursive(
-        np.arange(m, dtype=np.int64), ranks, multiply_fn, dense_block_size
+    [matrix] = build_block_matrices(
+        [(np.arange(m, dtype=np.int64), ranks)], multiply_fn, dense_block_size
     )
     return BlockProduct(matrix, values[order], ties[order])
 
@@ -370,8 +370,8 @@ class _Leaf:
         return self.start_arrival + np.arange(self.evicted, len(self.values), dtype=np.int64)
 
 
-#: Default number of elements per leaf block (kept at or below the dense
-#: construction threshold so leaf rebuilds never recurse).
+#: Default number of elements per leaf block (kept at or below the
+#: semi-local leaf size, so a leaf rebuild is one comb and never multiplies).
 DEFAULT_LEAF_SIZE = 64
 
 
@@ -386,9 +386,9 @@ class SeaweedAggregator:
         the root product is bit-identical to a from-scratch build of the
         current window).
     leaf_size:
-        Elements per leaf block.  The default stays below the dense
-        construction threshold, so per-tick leaf rebuilds are one vectorised
-        dense pass.
+        Elements per leaf block.  The default stays below the semi-local
+        leaf size (:data:`repro.lis.semilocal.DENSE_BLOCK_SIZE`), so per-tick
+        leaf rebuilds are one comb.
     """
 
     def __init__(

@@ -16,6 +16,7 @@ The concurrency harness every later scaling PR regresses against:
   silent close or a hang.
 """
 
+import io
 import json
 import logging
 import os
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from http import HTTPStatus
 
 import pytest
@@ -934,6 +936,35 @@ class TestServeHttpCLI:
             if process.poll() is None:
                 process.kill()
                 process.communicate()
+
+    def test_serve_http_pins_the_mmap_threshold_once(self, monkeypatch):
+        from repro.experiments import cli
+
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        out = io.StringIO()
+        assert cli.main(["serve-http", "--port", "0", "--duration", "0"], out=out) == 0
+        assert "served 0/0 requests" in out.getvalue()
+        assert calls == [(-3, 128 * 1024)]  # M_MMAP_THRESHOLD, 128 KiB
+
+    def test_mmap_threshold_fails_soft_without_mallopt(self, monkeypatch):
+        from repro.experiments import cli
+
+        def missing(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", missing)
+        assert cli._pin_mmap_threshold() is False
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._pin_mmap_threshold() is False
+        out = io.StringIO()
+        assert cli.main(["serve-http", "--port", "0", "--duration", "0"], out=out) == 0
+        assert "served 0/0 requests" in out.getvalue()
 
     def test_sigint_stops_server_started_with_sigint_ignored(self):
         # A non-interactive shell starts its background jobs this way.

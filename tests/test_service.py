@@ -757,6 +757,21 @@ class TestEnsureIndex:
         with pytest.raises(ServiceRequestError, match="unknown index kind"):
             service.ensure_index(sequence, "bogus")
 
+    def test_fingerprint_memo_keeps_no_inline_sequence(self):
+        """Inline targets are fingerprinted from the content they carry, so a
+        stream of fresh sequences leaves nothing behind once evicted."""
+        service = QueryService(cache=IndexCache())
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            inline = TargetSpec(kind="sequence", data=tuple(rng.permutation(40).tolist()))
+            batch = service.submit([QueryRequest(op="lis_length", target=inline)])
+            assert not batch.outcomes[0].cache_hit
+        again = service.submit([QueryRequest(op="lis_length", target=inline)])
+        assert again.outcomes[0].cache_hit and again.outcomes[0].result == batch.outcomes[0].result
+        named = TargetSpec(kind="sequence", workload="random", n=64, seed=7)
+        service.submit([QueryRequest(op="lis_length", target=named)])
+        assert list(service._fingerprints) == [(named, "lis:position", True)]
+
     def test_shares_fingerprints_with_submit(self):
         service = QueryService(cache=IndexCache())
         target = TargetSpec(kind="sequence", workload="random", n=128, seed=7)

@@ -437,6 +437,36 @@ class TestRouterBehindServer:
             handle.stop()
 
 
+    def test_one_stats_polls_each_shard_once(self):
+        """Both halves of one ``/stats`` document come from one poll: it sends
+        each shard one ``metrics`` command, as one ``/metrics`` does."""
+
+        def metrics_commands():
+            entry = router.metrics.snapshot()["repro_shard_pipe_seconds"]
+            return sum(
+                value["count"] for labels, value in entry["samples"]
+                if dict(labels).get("cmd") == "metrics"
+            )
+
+        router = ShardRouter(2)
+        handle = start_server(router)
+        try:
+            status, _, _ = post_json(handle.url + "/v2/batch", {
+                "requests": [{"op": "lis_length", "workload": "random", "n": 64, "seed": 1}]
+            })
+            assert status == 200
+            before = metrics_commands()
+            status, _, stats = get_json(handle.url + "/stats")
+            assert status == 200
+            assert metrics_commands() - before == 2
+            assert [doc["snapshot_age_seconds"] for doc in stats["service"]["per_shard"]] == [0.0, 0.0]
+            before = metrics_commands()
+            with urllib.request.urlopen(handle.url + "/metrics", timeout=30) as response:
+                assert response.status == 200
+            assert metrics_commands() - before == 2
+        finally:
+            handle.stop()
+
     def test_scrapes_never_wait_on_an_abandoned_answer(self):
         """A deadline-abandoned cold build leaves its worker owing an answer;
         a scrape serves the shard's last snapshot instead of draining it."""

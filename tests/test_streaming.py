@@ -7,6 +7,7 @@ from repro.experiments import load_artifact, run_experiment
 from repro.experiments.cli import main as cli_main
 from repro.lcs.dp_baseline import lcs_length_dp
 from repro.lis import lis_length, rank_transform, value_interval_matrix
+from repro.lis.semilocal import DENSE_BLOCK_SIZE
 from repro.streaming import (
     SeaweedAggregator,
     StreamingLCS,
@@ -118,12 +119,13 @@ class TestSeaweedAggregator:
 
     def test_multi_leaf_append_counts_leaf_multiplies(self):
         rng = np.random.default_rng(60)
-        stream = rng.integers(0, 5000, size=4800).astype(float)
-        # leaf_size above the dense threshold so leaf builds themselves
+        # leaf_size above the comb's leaf size so leaf builds themselves
         # perform (and count) multiplications.
-        agg = SeaweedAggregator(leaf_size=200)
+        leaf_size = DENSE_BLOCK_SIZE + DENSE_BLOCK_SIZE // 2
+        stream = rng.integers(0, 5000, size=2 * leaf_size).astype(float)
+        agg = SeaweedAggregator(leaf_size=leaf_size)
         agg.append(stream)
-        assert agg.stats.blocks_built == 4800 // 200
+        assert agg.stats.blocks_built == 2
         assert agg.stats.multiplies > 0, "leaf builds must have counted multiplies"
         leaf_multiplies = agg.stats.multiplies
         assert agg.to_semilocal().matrix == value_interval_matrix(stream).matrix
