@@ -4,12 +4,11 @@ Run with::
 
     PYTHONPATH=src python examples/streaming_session.py
 
-A :class:`repro.streaming.StreamingLIS` session maintains the semi-local
-value-interval product of a sliding window by *recomposing* cached seaweed
-block products (the ⊡ monoid of Theorem 1.3) instead of rebuilding: each
-tick touches one leaf block plus an O(log n) node path, yet every answer is
-exact — identical to rebuilding the product from scratch on the current
-window.
+A :class:`repro.streaming.StreamingLIS` session keeps a sliding window as
+combed seaweed leaf blocks (the ⊡ monoid of Theorem 1.3 split into 64-element
+pieces) instead of rebuilding: each tick re-combs only the leaves it touched
+and answers by a seam sweep across the leaves, yet every answer is exact —
+identical to rebuilding the product from scratch on the current window.
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ TICKS = 8
 
 def lis_session() -> None:
     stream = make_sequence("random", WINDOW + TICKS * SLIDE, seed=7).astype(float)
-    session = StreamingLIS(window=WINDOW, leaf_size=64)
+    session = StreamingLIS(window=WINDOW)
     session.push(stream[:WINDOW])
     print(f"warm window of {WINDOW}: LIS = {session.lis_length()}")
 
@@ -33,7 +32,7 @@ def lis_session() -> None:
         lo = WINDOW + tick * SLIDE
         session.push(stream[lo : lo + SLIDE])  # slide by SLIDE symbols
         lis = session.lis_length()
-        # Rank-window probes and full sweeps come from the same product.
+        # Rank-window probes read the same leaves; full sweeps comb the window.
         middle = session.rank_interval(WINDOW // 4, 3 * WINDOW // 4)
         assert lis == lis_length(session.window_values())  # exact, every tick
         print(f"tick {tick}: LIS={lis}  LIS(middle ranks)={middle}")
@@ -42,14 +41,14 @@ def lis_session() -> None:
     print(f"rank-window sweep (width 128): {sweep.tolist()}")
     counters = session.counters()
     print(
-        f"cost: {counters['multiplies']} multiplies, {counters['blocks_built']} block "
-        f"builds, node store {counters['node_store']['nbytes']} bytes"
+        f"cost: {counters['blocks_built']} leaf combs, {counters['seam_sweeps']} seam "
+        f"sweeps, {counters['leaves']} leaves / {counters['nbytes']} bytes resident"
     )
 
 
 def lcs_session() -> None:
     s, t = make_string_pair("correlated_pair", 256, seed=3, alphabet=8)
-    session = StreamingLCS(s[:128], window=128, leaf_size=32)
+    session = StreamingLCS(s[:128], window=128)
     session.push(t[:128])
     print(f"\nLCS(S, T-window) = {session.lcs_length()}")
     for tick in range(4):

@@ -3,7 +3,9 @@
 # quick service_throughput run, a serving batch-mode smoke (build ->
 # cached re-query -> artifact validate), an HTTP front-end smoke (serve-http
 # in the background -> cold/warm POST cycle -> background build poll ->
-# a Content-Length: -5 frame answered 400 -> /metrics scrape with
+# a LIS /sessions create/push/push/GET/DELETE cycle checked against
+# patience sorting -> a Content-Length: -5 frame answered 400 -> /metrics
+# scrape with
 # monotone-counter assertions + a scrape-interval self-test: two scrapes
 # under traffic, counters monotone, gauges within bounds, exemplar
 # annotations parsed, resolved via /debug/traces and read as retained at
@@ -138,6 +140,22 @@ assert stats["requests"]["answered"] == 4, stats["requests"]
 assert stats["builds"]["done"] == 1, stats["builds"]
 assert stats["stats_schema"] == "repro.server.stats.v8", stats["stats_schema"]
 
+# A LIS session: create, push twice, read back, delete; every answer is
+# checked against patience sorting over the expected window.
+from repro.lis import lis_length
+
+window, symbols = 96, [float((37 * k) % 101) for k in range(160)]
+session = call("POST", "/sessions", {"kind": "lis", "window": window, "push": symbols[:80]})
+assert session["answer"] == lis_length(symbols[:80]), session
+for lo, hi in ((80, 120), (120, 160)):
+    pushed = call("POST", f"/sessions/{session['id']}/push", {"symbols": symbols[lo:hi]})
+    expected = symbols[max(0, hi - window) : hi]
+    assert pushed["size"] == len(expected) and pushed["answer"] == lis_length(expected), pushed
+fetched = call("GET", f"/sessions/{session['id']}")
+assert fetched["answer"] == pushed["answer"] and fetched["ticks"] == 3, fetched
+assert call("DELETE", f"/sessions/{session['id']}")["status"] == "deleted"
+assert call("GET", "/sessions")["sessions"] == []
+
 # The codec answers a malformed frame with a prompt 400, not a traceback.
 import socket
 
@@ -218,7 +236,8 @@ assert debug[cited]["retained"] is True, debug.get(cited)
 
 print(
     f"serve-http OK: {stats['requests']['answered']} answered, "
-    f"cold->warm cache hit verified, Content-Length -5 -> 400, "
+    f"cold->warm cache hit verified, LIS session checked against patience "
+    f"sorting and deleted, Content-Length -5 -> 400, "
     f"background build {build['token']} done, /metrics monotone, "
     f"scrape self-test passed (ring occupancy {ring:g}, "
     f"{len(exemplars)} exemplar(s) parsed, newest resolved and retained)"

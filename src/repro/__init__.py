@@ -20,9 +20,9 @@ Public API highlights
 * :mod:`repro.service` — the batched query-serving subsystem (fingerprinted
   semi-local indexes, a byte-budgeted LRU cache with disk spill, and the
   ``QueryService`` behind ``python -m repro serve``).
-* :mod:`repro.streaming` — the sliding-window subsystem: a seaweed segment
-  tree (:class:`~repro.streaming.aggregator.SeaweedAggregator`) with
-  incremental recomposition, ``StreamingLIS`` / ``StreamingLCS`` session
+* :mod:`repro.streaming` — the sliding-window subsystem: a flat list of
+  combed leaf blocks (:class:`~repro.streaming.aggregator.SeaweedAggregator`)
+  answered by exact seam sweeps, ``StreamingLIS`` / ``StreamingLCS`` session
   objects and the ``python -m repro stream`` driver.
 * :mod:`repro.perf` — core hot-path micro-benchmarks, the cpu-normalised
   perf regression gate behind ``python -m repro perf``

@@ -141,7 +141,7 @@ class SubPermutation:
         """Resident bytes of the implicit representation.
 
         The honest sizing hook used by the service cache and the streaming
-        node store — byte budgets must reflect what is actually held.
+        aggregator — byte budgets must reflect what is actually held.
         """
         return int(self._row_to_col.nbytes)
 

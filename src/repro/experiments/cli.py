@@ -20,8 +20,8 @@ Subcommands
     ``/builds`` and streaming ``/sessions`` routes, live ``/stats``.
 ``stream``
     Drive a sliding-window streaming session (:mod:`repro.streaming`):
-    per-tick exact LIS/LCS answers with incremental seaweed recomposition,
-    recorded as a schema-v1 artifact with an additive ``streaming`` section.
+    per-tick exact LIS/LCS answers from seam sweeps across combed leaf
+    blocks, recorded as a schema-v1 artifact with an additive ``streaming`` section.
 ``perf``
     Run the core hot-path micro-benchmarks (:mod:`repro.perf`), write the
     ``results/perf_core.json`` artifact and gate against the recorded
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream_parser = sub.add_parser(
         "stream",
-        help="drive a sliding-window streaming session (incremental recomposition)",
+        help="drive a sliding-window streaming session (touched leaves re-combed, seam-sweep answers)",
     )
     stream_parser.add_argument(
         "--session", choices=("lis", "lcs"), default="lis", help="session kind (default lis)"
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream_parser.add_argument("--window", "-n", type=int, default=4096, metavar="N", help="sliding window length")
     stream_parser.add_argument("--ticks", type=int, default=16, metavar="K", help="number of slide ticks")
     stream_parser.add_argument("--slide", type=int, default=64, metavar="B", help="symbols appended/evicted per tick")
-    stream_parser.add_argument("--leaf-size", type=int, default=64, metavar="L", help="aggregator leaf block size")
     stream_parser.add_argument("--probes", type=int, default=4, metavar="P", help="rank-interval probes per tick (lis)")
     stream_parser.add_argument(
         "--seed", type=int, default=0, metavar="S", help="workload + probe seed (artifacts reproduce bit-for-bit)"
@@ -695,17 +694,17 @@ def _stream_artifact(args, session, points, seconds: float) -> Dict[str, Any]:
     """The streaming outcome as a schema-v1 document (+ ``streaming`` section).
 
     Per-tick rows become grid points of an ad-hoc ``stream`` spec; the
-    session configuration and the aggregator's cost counters (multiplies
-    performed, blocks rebuilt, node-store bytes) ride along in the additive
+    session configuration and the aggregator's cost counters (blocks
+    rebuilt, seam sweeps, resident bytes) ride along in the additive
     ``streaming`` field.
     """
     spec = ExperimentSpec(
         name="stream",
         title="Streaming sliding-window session (python -m repro stream)",
-        claim="incremental seaweed recomposition (monoid structure of Theorem 1.3)",
+        claim="sliding-window seam sweeps over combed leaves (monoid structure of Theorem 1.3)",
         grid={},
         point=dict,
-        columns=["tick", "answer", "window", "seconds", "multiplies", "blocks_rebuilt"],
+        columns=["tick", "answer", "window", "seconds", "blocks_rebuilt"],
     )
     result = ExperimentResult(
         spec=spec,
@@ -717,7 +716,6 @@ def _stream_artifact(args, session, points, seconds: float) -> Dict[str, Any]:
             "window": int(args.window),
             "ticks": int(args.ticks),
             "slide": int(args.slide),
-            "leaf_size": int(args.leaf_size),
             "seed": int(args.seed),
             "strict": not args.non_strict,
         },
@@ -741,20 +739,12 @@ def _cmd_stream(args, out) -> int:
     total = args.window + args.ticks * args.slide
     if args.session == "lis":
         stream = make_sequence(args.workload, total, seed=args.seed).astype(float)
-        session = StreamingLIS(
-            window=args.window,
-            strict=not args.non_strict,
-            leaf_size=args.leaf_size,
-        )
+        session = StreamingLIS(window=args.window, strict=not args.non_strict)
         warm = stream[: args.window]
         describe = f"{args.workload}(n={total}, seed={args.seed})"
     else:
         reference, stream = make_string_pair(args.string_workload, total, seed=args.seed)
-        session = StreamingLCS(
-            reference[: args.window],
-            window=args.window,
-            leaf_size=args.leaf_size,
-        )
+        session = StreamingLCS(reference[: args.window], window=args.window)
         warm = stream[: args.window]
         describe = f"{args.string_workload}(n={total}, seed={args.seed})"
 
@@ -786,7 +776,6 @@ def _cmd_stream(args, out) -> int:
             "answer": int(answer),
             "window": int(after["window"]),
             "probes": [int(v) for v in probe_values],
-            "multiplies": after["multiplies"] - before["multiplies"],
             "blocks_rebuilt": after["blocks_built"] - before["blocks_built"],
         }
         before = after
@@ -797,7 +786,6 @@ def _cmd_stream(args, out) -> int:
                 answer,
                 metrics["window"],
                 f"{tick_seconds * 1000:.1f} ms",
-                metrics["multiplies"],
                 metrics["blocks_rebuilt"],
             ]
         )
@@ -808,7 +796,7 @@ def _cmd_stream(args, out) -> int:
         format_block(
             f"streaming {label} session over {describe} "
             f"(warm build {warm_seconds * 1000:.0f} ms, {label}={warm_answer})",
-            format_table(["tick", label, "window", "seconds", "multiplies", "blocks"], rows)
+            format_table(["tick", label, "window", "seconds", "blocks"], rows)
             if rows
             else "(no ticks requested)",
         ),
@@ -819,9 +807,8 @@ def _cmd_stream(args, out) -> int:
     print(
         f"{args.ticks} ticks in {seconds - warm_seconds:.3f}s "
         f"(amortised {amortised * 1000:.1f} ms/tick); "
-        f"{counters['multiplies']} multiplies, {counters['blocks_built']} blocks built, "
-        f"node store {counters['node_store']['entries']} entries / "
-        f"{counters['node_store']['nbytes']} bytes",
+        f"{counters['blocks_built']} blocks built, {counters['seam_sweeps']} seam sweeps, "
+        f"{counters['leaves']} leaves / {counters['nbytes']} bytes resident",
         file=out,
     )
     if args.artifact is not None:

@@ -811,7 +811,6 @@ def run_streaming_throughput_point(
     n: int = 4096,
     ticks: int = 12,
     slide: int = 64,
-    leaf_size: int = 64,
     seed: int = 7,
     probes: int = 4,
     strict: bool = True,
@@ -824,10 +823,10 @@ def run_streaming_throughput_point(
     against the DP oracle on the spot.  ``rebuild_per_tick_seconds`` times
     the cheapest possible per-tick alternative — a from-scratch sequential
     ``value_interval_matrix`` of the current window — and the sampled rebuild
-    is also compared bit-for-bit against the aggregator's root product.
+    is also compared bit-for-bit against the session's ``to_semilocal``.
     """
     stream = make_sequence(workload, n + ticks * slide, seed=seed).astype(np.float64)
-    session = StreamingLIS(window=n, strict=strict, leaf_size=leaf_size)
+    session = StreamingLIS(window=n, strict=strict)
     warm_started = time.perf_counter()
     session.append(stream[:n])
     session.lis_length()
@@ -858,7 +857,7 @@ def run_streaming_throughput_point(
         rebuilt = value_interval_matrix(session.window_values(), strict=strict)
         rebuild_seconds.append(time.perf_counter() - started)
     assert session.to_semilocal().matrix == rebuilt.matrix, (
-        "aggregator root product diverges from the from-scratch seaweed rebuild"
+        "session product diverges from the from-scratch seaweed rebuild"
     )
 
     amortised = float(np.mean(tick_seconds))
@@ -871,16 +870,15 @@ def run_streaming_throughput_point(
         "rebuild_per_tick_seconds": rebuild_per_tick,
         "speedup": rebuild_per_tick / amortised if amortised > 0 else float("inf"),
         "warm_build_seconds": warm_build_seconds,
-        "multiplies": after["multiplies"] - before["multiplies"],
         "blocks_rebuilt": after["blocks_built"] - before["blocks_built"],
-        "node_store_bytes": after["node_store"]["nbytes"],
+        "resident_bytes": after["nbytes"],
         "answers_checksum": weighted_checksum(np.asarray(answers, dtype=np.int64)),
     }
 
 
 def check_streaming_throughput(points: List[PointResult]) -> None:
     # Every point checked each tick against the DP oracle; here, (1) the
-    # slide path genuinely recombines rather than rebuilding and (2) the
+    # slide path re-combs leaf blocks rather than the window and (2) the
     # amortised tick beats rebuild-per-tick by >= 10x at production sizes.
     for point in points:
         row = point.row()
@@ -895,7 +893,7 @@ def check_streaming_throughput(points: List[PointResult]) -> None:
 def timer_streaming_throughput() -> Callable[[], Any]:
     n, slide = 2048, 64
     stream = make_sequence("random", 4 * n, seed=7).astype(np.float64)
-    session = StreamingLIS(window=n, strict=True, leaf_size=64)
+    session = StreamingLIS(window=n, strict=True)
     session.append(stream[:n])
     session.lis_length()
     state = {"offset": n}
@@ -920,7 +918,6 @@ register_spec(
             "n": 4096,
             "ticks": 12,
             "slide": 64,
-            "leaf_size": 64,
             "seed": 7,
             "probes": 4,
             "strict": True,
@@ -934,7 +931,6 @@ register_spec(
             "amortised_tick_seconds",
             "rebuild_per_tick_seconds",
             "speedup",
-            "multiplies",
             "blocks_rebuilt",
             "answers_checksum",
         ],

@@ -11,7 +11,8 @@ multiply   full-permutation ``P_A ⊡ P_B`` (iterative engine) at
 reference  the retained recursive oracle at the headline size, asserted
            bit-identical to the iterative engine (the speedup denominator)
 semilocal  a from-scratch ``value_interval_matrix`` build (Theorem 1.3)
-streaming  the amortised sliding-window tick of the PR-4 aggregator
+streaming  the amortised sliding-window tick (push + ``lis_length``) of a
+           ``StreamingLIS`` session: touched leaves re-combed, one seam sweep
 service    a warm cached query batch through the PR-3 serving layer
 mpc        one Theorem 1.3 LIS solve on the MPC simulator (δ = 0.5),
            asserted equal to patience sorting

@@ -200,7 +200,9 @@ class ServerCore:
         self._builds: Dict[str, Dict[str, Any]] = {}
         self._build_counter = itertools.count(1)
         self._sessions: Dict[str, Any] = {}
-        self._session_meta: Dict[str, Dict[str, Any]] = {}
+        #: Each session's state document as of its last mutation, computed
+        #: on the service thread; GETs return it without touching the session.
+        self._session_states: Dict[str, Dict[str, Any]] = {}
         self._session_counter = itertools.count(1)
         self._tasks: set = set()
         self._started = time.perf_counter()
@@ -459,9 +461,9 @@ class ServerCore:
             if path.startswith("/builds/"):
                 return self._get_build(path[len("/builds/"):])
             if path == "/sessions":
-                return {"sessions": [self._session_state(sid) for sid in self._sessions]}
+                return {"sessions": [dict(state) for state in self._session_states.values()]}
             if path.startswith("/sessions/"):
-                return self._session_state(self._session_id(path))
+                return dict(self._known_session(self._session_id(path))[1])
             raise _HttpError(404, f"no route for GET {path}")
         if method == "POST":
             document = self._decode(body)
@@ -477,7 +479,7 @@ class ServerCore:
             raise _HttpError(404, f"no route for POST {path}")
         if method == "DELETE":
             if path.startswith("/sessions/"):
-                return self._delete_session(self._session_id(path))
+                return await self._delete_session(self._session_id(path))
             raise _HttpError(404, f"no route for DELETE {path}")
         raise _HttpError(405, f"method {method} not allowed")
 
@@ -922,7 +924,8 @@ class ServerCore:
 
         The service semaphore admits up to ``service_concurrency`` calls at
         once, but a streaming session is a single-threaded object — two
-        pushes to the *same* session must still serialise.
+        pushes to the *same* session, or a push and its DELETE, must still
+        serialise.
         """
         lock = self._session_locks.get(sid)
         if lock is None:
@@ -960,53 +963,71 @@ class ServerCore:
         initial_symbols = (
             self._symbols(initial, "'push'") if initial is not None else None
         )
-        async with self._session_lock(sid), self._service_lock:
-            self._sessions[sid] = session
-            self._session_meta[sid] = meta
-            if initial_symbols is not None:
-                await self._in_service_thread(session.push, initial_symbols)
-        return self._session_state(sid)
+        # Nobody can address the session before it is registered, so the
+        # first push needs no session lock.
+        async with self._service_lock:
+            state, _ = await self._in_service_thread(
+                self._advance_session, session, meta, initial_symbols
+            )
+        self._sessions[sid] = session
+        self._session_states[sid] = state
+        return dict(state)
 
     async def _push_session(self, sid: str, document: Any) -> Dict[str, Any]:
-        session = self._sessions.get(sid)
-        if session is None:
-            raise _HttpError(404, f"unknown session {sid!r}")
+        self._known_session(sid)
         if not isinstance(document, dict) or "symbols" not in document:
             raise _HttpError(400, "push needs a JSON object with 'symbols'")
         symbols = self._symbols(document["symbols"], "'symbols'")
         async with self._session_lock(sid), self._service_lock:
-            dropped = await self._in_service_thread(session.push, symbols)
-        state = self._session_state(sid)
-        state["dropped"] = int(dropped)
-        return state
+            # A DELETE holds the same lock, so the session is either still
+            # here or already gone when the push gets its turn.
+            session, state = self._known_session(sid)
+            state, dropped = await self._in_service_thread(
+                self._advance_session, session, state, symbols
+            )
+            self._session_states[sid] = state
+        return {**state, "dropped": int(dropped)}
 
-    def _session_state(self, sid: str) -> Dict[str, Any]:
+    def _known_session(self, sid: str) -> Tuple[Any, Dict[str, Any]]:
+        """``(session, kept state)``, or a 404."""
         session = self._sessions.get(sid)
         if session is None:
             raise _HttpError(404, f"unknown session {sid!r}")
-        meta = self._session_meta[sid]
-        counters = session.counters()
+        return session, self._session_states[sid]
+
+    @staticmethod
+    def _advance_session(
+        session: Any, meta: Dict[str, Any], symbols: Optional[np.ndarray]
+    ) -> Tuple[Dict[str, Any], int]:
+        """Push ``symbols`` (if any) and read the answer: ``(state, dropped)``.
+
+        Runs on the service thread under the session's lock, so the answer
+        is never computed on the event loop, nor while the session mutates.
+        """
+        dropped = session.push(symbols) if symbols is not None else 0
         if meta["kind"] == "lis":
             size = len(session)
             answer = session.lis_length() if size else 0
         else:
             size = session.t_length
             answer = session.lcs_length() if size else 0
-        return {
-            **meta,
-            "size": int(size),
-            "answer": int(answer),
-            "ticks": int(counters.get("ticks", 0)),
-            "multiplies": int(counters.get("multiplies", 0)),
-            "blocks_built": int(counters.get("blocks_built", 0)),
-        }
+        counters = session.counters()
+        state = {key: meta[key] for key in ("id", "kind", "window", "strict", "target")}
+        state.update(
+            size=int(size),
+            answer=int(answer),
+            ticks=int(counters.get("ticks", 0)),
+            blocks_built=int(counters.get("blocks_built", 0)),
+        )
+        return state, int(dropped)
 
-    def _delete_session(self, sid: str) -> Dict[str, Any]:
-        if sid not in self._sessions:
-            raise _HttpError(404, f"unknown session {sid!r}")
-        del self._sessions[sid]
-        del self._session_meta[sid]
-        self._session_locks.pop(sid, None)
+    async def _delete_session(self, sid: str) -> Dict[str, Any]:
+        self._known_session(sid)
+        async with self._session_lock(sid):
+            self._known_session(sid)
+            del self._sessions[sid]
+            del self._session_states[sid]
+            self._session_locks.pop(sid, None)
         return {"id": sid, "status": "deleted"}
 
     # ------------------------------------------------------------------- stats

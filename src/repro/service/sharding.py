@@ -42,8 +42,11 @@ Observability: every router count and timing lives in the router's own
 shard's counts in its service and cache registries, which process shards,
 inline shards and the degraded fallback all answer one ``metrics`` command
 with.  A scrape never waits for a busy worker (one running a command or
-still computing a deadline-abandoned one): it serves that shard's last
-polled snapshot and says how old it is.  ``/metrics`` and
+still computing an abandoned one), and gives an idle one a short fixed
+budget: it serves a worker that misses it, or is busy, from that shard's
+last polled snapshot and says how old it is.  An abandoned call keeps its
+``worker_timeout``: once it runs out, the next call (scrape or request)
+kills and restarts the worker.  ``/metrics`` and
 :meth:`ShardRouter.stats` read those snapshots —
 requests routed per shard, load imbalance (max/mean), worker restarts and
 hangs, bounded retries, degraded requests, and the queue-wait vs
@@ -109,6 +112,19 @@ DEFAULT_WORKER_TIMEOUT = 120.0
 #: Pipe poll granularity: small enough that kill decisions are prompt,
 #: large enough that an idle wait costs ~20 wakeups/second at worst.
 _POLL_STEP = 0.05
+
+#: Serialises worker spawns.  A fork copies every open descriptor, so a
+#: worker forked while another spawn still holds its child's pipe ends (the
+#: command pipe, the exit sentinel) keeps them open: the other worker's exit
+#: then never reads as EOF, and joining it waits out the join timeout.
+_SPAWN_LOCK = threading.Lock()
+
+#: Pipe budget of one scrape's ``metrics`` call (seconds).  An idle worker
+#: answers in milliseconds; one that does not (stopped, or wedged) is
+#: abandoned like a busy one, and the scrape serves its last snapshot.  A
+#: ``worker_timeout`` no longer than this bounds the scrape instead, so such
+#: a worker is declared hung and restarted within the scrape, as for any call.
+_SCRAPE_BUDGET_S = 0.5
 
 
 # ``multiprocessing`` is imported where it is used: every ``repro`` import
@@ -392,22 +408,28 @@ class _ProcessWorker(_WorkerBase):
         #: message in flight; the next call drains it first to stay in sync
         #: (this is what keeps a short deadline from costing a warm cache).
         self._stale = 0
+        #: When the owed answer's call runs out of ``hang_seconds``: an
+        #: abandoned call keeps its liveness budget, so the next call kills a
+        #: worker that never answered it instead of granting a fresh one.
+        self._owed_hang_at: Optional[float] = None
         self._spawn()
 
     def _spawn(self) -> None:
-        parent, child = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(child, self.shard_id, self.config),
-            name=f"repro-shard-{self.shard_id}",
-            daemon=True,
-        )
-        process.start()
-        child.close()
+        with _SPAWN_LOCK:
+            parent, child = self._ctx.Pipe(duplex=True)
+            process = self._ctx.Process(
+                target=_shard_worker_main,
+                args=(child, self.shard_id, self.config),
+                name=f"repro-shard-{self.shard_id}",
+                daemon=True,
+            )
+            process.start()
+            child.close()
         self.process = process
         self.pid = process.pid
         self.conn = parent
         self._stale = 0
+        self._owed_hang_at = None
         # The worker derives its spill subdir from its own pid; mirror the
         # derivation here so the directory of a *crashed* worker can still
         # be removed, at its restart or at router close.
@@ -428,10 +450,12 @@ class _ProcessWorker(_WorkerBase):
         ``hang_seconds`` is the liveness budget: a worker that produces no
         answer within it is declared hung, **killed** and reported as
         :class:`ShardWorkerHang` (the restart/retry path treats it exactly
-        like a crash).  ``deadline_seconds`` is the *request's* remaining
-        budget: when it runs out first the call is abandoned — the worker
-        stays alive (its answer is drained by the next call) and the caller
-        gets :class:`~repro.resilience.deadline.DeadlineExceeded`.
+        like a crash).  ``deadline_seconds`` is the caller's budget (a
+        request's remaining deadline, or a scrape's fixed one): when it runs
+        out first the call is abandoned — the worker stays alive (its answer
+        is drained by the next call) and the caller gets
+        :class:`~repro.resilience.deadline.DeadlineExceeded`, and decides
+        whether that counts as a request's deadline expiry.
         """
         if self.process is None or not self.process.is_alive():
             raise ShardWorkerCrash(f"shard {self.shard_id} worker process is dead")
@@ -469,10 +493,26 @@ class _ProcessWorker(_WorkerBase):
                 self._stale -= 1
         except (EOFError, OSError):
             return False
+        if self._stale == 0:
+            self._owed_hang_at = None
         return self._stale > 0
 
+    def answer_overdue(self) -> bool:
+        """Whether an owed answer has outlived its call's ``hang_seconds``."""
+        return (
+            self._stale > 0
+            and self._owed_hang_at is not None
+            and time.monotonic() >= self._owed_hang_at
+        )
+
     def _drain_stale(self, hang_at: Optional[float]) -> None:
-        """Discard answers owed to deadline-abandoned calls (resync the pipe)."""
+        """Discard answers owed to deadline-abandoned calls (resync the pipe).
+
+        The wait ends at the owed call's own liveness deadline when it had
+        one: a worker that never answered it is hung, whoever asks next.
+        """
+        if self._owed_hang_at is not None:
+            hang_at = self._owed_hang_at
         while self._stale > 0:
             now = time.monotonic()
             if hang_at is not None and now >= hang_at:
@@ -489,6 +529,7 @@ class _ProcessWorker(_WorkerBase):
                 raise ShardWorkerCrash(
                     f"shard {self.shard_id} worker died while draining stale answers"
                 )
+        self._owed_hang_at = None
 
     def _await_answer(
         self, cmd: str, hang_at: Optional[float], deadline_at: Optional[float]
@@ -510,7 +551,7 @@ class _ProcessWorker(_WorkerBase):
                     # healthy mid-compute; its late answer is drained by the
                     # next call so the warm cache survives the tight budget.
                     self._stale += 1
-                    note_expiry("worker", shard=self.shard_id, cmd=cmd)
+                    self._owed_hang_at = hang_at
                     raise DeadlineExceeded(
                         f"deadline expired waiting on shard {self.shard_id} ({cmd})",
                         stage="worker",
@@ -529,6 +570,7 @@ class _ProcessWorker(_WorkerBase):
         if self.process is not None and self.process.is_alive():
             self.process.kill()
         self._stale = 0
+        self._owed_hang_at = None
 
     def restart(self) -> None:
         # The old worker is reaped before its spill subdirectory goes, so it
@@ -538,6 +580,10 @@ class _ProcessWorker(_WorkerBase):
         self._spawn()
 
     def stop(self) -> None:
+        # A worker still computing an abandoned call would read the
+        # shutdown only after it: kill it rather than wait.
+        if self.conn is not None and self.owes_answer():
+            self._kill()
         self._teardown(graceful=True)
         self._cleanup_spill()
 
@@ -557,6 +603,7 @@ class _ProcessWorker(_WorkerBase):
                 pass
             self.conn = None
             self._stale = 0  # the closed pipe's owed answers went with it
+            self._owed_hang_at = None
         if self.process is not None:
             self.process.join(timeout=5.0)
             if self.process.is_alive():
@@ -858,9 +905,12 @@ class ShardRouter:
         attempt's outcome feeds the shard's circuit breaker, which turns a
         crash loop into degraded serving.  A closed router refuses the call
         before it takes the lock, so it never respawns a stopped worker.
-        With ``wait=False`` a worker that is running another command, or
-        still computing a deadline-abandoned one, raises
-        :class:`_WorkerBusy` at once instead of being waited for.
+        With ``wait=False`` (a scrape) a worker that is running another
+        command, or still computing an abandoned one, raises
+        :class:`_WorkerBusy` at once instead of being waited for, and so
+        does one that misses the :data:`_SCRAPE_BUDGET_S` pipe budget.  A
+        worker whose abandoned answer has outlived ``worker_timeout`` is not
+        busy but hung: this call, scrape or not, kills and restarts it.
         """
         if self.closed:
             raise RuntimeError("ShardRouter is closed")
@@ -870,7 +920,7 @@ class ShardRouter:
         if not worker.lock.acquire(blocking=wait):
             raise _WorkerBusy(f"shard {shard_id} is running another command")
         try:
-            if not wait and worker.owes_answer():
+            if not wait and worker.owes_answer() and not worker.answer_overdue():
                 raise _WorkerBusy(f"shard {shard_id} is computing an abandoned call")
             waited = time.perf_counter() - waited_from
             last_crash: Optional[ShardWorkerCrash] = None
@@ -884,14 +934,13 @@ class ShardRouter:
                         stage="router",
                     )
                 executing_from = time.perf_counter()
+                if not wait and self.worker_timeout > _SCRAPE_BUDGET_S:
+                    budget: Optional[float] = _SCRAPE_BUDGET_S
+                else:
+                    budget = deadline.remaining() if deadline is not None else None
                 try:
                     result = worker.call(
-                        cmd,
-                        payload,
-                        deadline_seconds=(
-                            deadline.remaining() if deadline is not None else None
-                        ),
-                        hang_seconds=self.worker_timeout,
+                        cmd, payload, deadline_seconds=budget, hang_seconds=self.worker_timeout
                     )
                 except ShardWorkerCrash as crash:
                     last_crash = crash
@@ -914,6 +963,10 @@ class ShardRouter:
                     span_event("shard_retry", shard=shard_id, attempt=attempt)
                     continue
                 except DeadlineExceeded:
+                    if not wait:
+                        # The scrape budget ran out, not a request's.
+                        raise _WorkerBusy(f"shard {shard_id} missed the scrape budget") from None
+                    note_expiry("worker", shard=shard_id, cmd=cmd)
                     raise
                 except ServiceRequestError:
                     # The worker answered; the *request* was bad.  Healthy.
@@ -1138,9 +1191,13 @@ class ShardRouter:
         Every shard answers the one ``metrics`` command, whatever serves it:
         a worker process, an inline shard, or (labelled ``"fallback"``, once
         a breaker has opened) the degraded fallback.  A poll never waits for
-        a busy worker, including one that still owes a deadline-abandoned
-        call's answer: it serves that shard's last polled snapshot, with its
-        age in seconds, or ``None`` for both before the shard's first poll.
+        a busy worker, including one that still owes an abandoned call's
+        answer, and waits at most :data:`_SCRAPE_BUDGET_S` for an idle one
+        (a stopped worker is abandoned after it): it serves that shard's
+        last polled snapshot, with its age in seconds, or ``None`` for both
+        before the shard's first poll.  A worker whose owed answer has
+        outlived ``worker_timeout`` is hung, not busy: the poll kills and
+        restarts it (SIGKILL does not wait) and polls the new worker.
         The fallback's registries take their own locks, so they are read
         without ``_fallback_lock``, which a degraded pass holds throughout.
         """

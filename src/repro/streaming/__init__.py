@@ -1,20 +1,20 @@
-"""Streaming sliding-window subsystem: incremental seaweed recomposition.
+"""Streaming sliding-window subsystem: exact per-tick semi-local answers.
 
-The (sub)unit-Monge product ``⊡`` is an associative monoid operation, so the
-semi-local build products of Theorem 1.3 / Corollaries 1.3.2-1.3.3 can be
-*recombined* instead of rebuilt when the input slides, appends or mutates:
+The (sub)unit-Monge product ``⊡`` is associative, so the semi-local build
+products of Theorem 1.3 / Corollaries 1.3.2-1.3.3 factor over any split of
+the input into contiguous blocks; a sliding window keeps its blocks and
+re-combs only the ones a tick changes:
 
-* :mod:`~repro.streaming.aggregator` — :class:`SeaweedAggregator`, a seaweed
-  segment tree over per-leaf-block products with an ``nbytes``-aware
-  :class:`NodeStore`, O(log n) root-path recombination for
-  ``append`` / ``evict`` / ``update``, and exact seam-sweep query evaluation
-  over the window cover;
+* :mod:`~repro.streaming.aggregator` — :class:`SeaweedAggregator`, a flat
+  list of combed leaf blocks (every leaf a tick touches re-combed in one
+  call) answered by an exact (max,+) seam sweep across the leaves, or by one
+  cached comb of the window for sweep-shaped queries;
 * :mod:`~repro.streaming.sessions` — :class:`StreamingLIS` and
   :class:`StreamingLCS`, per-tick session objects exposing ``lis_length`` /
   ``lcs_length`` / window-sweep queries over the live window;
 * :mod:`~repro.streaming.recompose` — :func:`extend_value_matrix`, the
   one-multiply append patch used by the service layer's ``refresh`` request
-  kind (``repro.service.requests`` v2).
+  kind (``repro.service.requests`` v2), the package's only ``⊡`` product.
 
 Amortised per-tick sliding cost is measured by the registered
 ``streaming_throughput`` experiment (``python -m repro run
@@ -25,19 +25,16 @@ from the command line.
 from .aggregator import (
     AggregatorStats,
     BlockProduct,
-    NodeStore,
     SeaweedAggregator,
     build_block_product,
-    combine_block_products,
     cover_scores,
 )
-from .recompose import block_product_from_semilocal, extend_value_matrix
+from .recompose import block_product_from_semilocal, combine_block_products, extend_value_matrix
 from .sessions import StreamingLCS, StreamingLIS
 
 __all__ = [
     "AggregatorStats",
     "BlockProduct",
-    "NodeStore",
     "SeaweedAggregator",
     "build_block_product",
     "combine_block_products",

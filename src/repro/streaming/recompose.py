@@ -11,7 +11,9 @@ for just the appended suffix, and multiply **once** —
 The result is bit-identical to a from-scratch rebuild (the recomposition
 only re-brackets the same product) at the cost of one suffix build plus one
 multiplication instead of the whole O(n log n) recursion.  This is the patch
-path behind the ``refresh`` request kind of ``repro.service.requests`` v2.
+path behind the ``refresh`` request kind of ``repro.service.requests`` v2,
+and the only ``⊡`` product of the streaming package: sliding sessions read
+their leaves with the seam sweep instead (:mod:`repro.streaming.aggregator`).
 """
 
 from __future__ import annotations
@@ -20,10 +22,38 @@ from typing import Sequence
 
 import numpy as np
 
-from ..lis.semilocal import SemiLocalLIS
-from .aggregator import BlockProduct, build_block_product, combine_block_products
+from ..core.seaweed import multiply
+from ..lis.semilocal import MultiplyFn, SemiLocalLIS, embed_into_universe
+from .aggregator import BlockProduct, _part_slots, build_block_product
 
-__all__ = ["block_product_from_semilocal", "extend_value_matrix"]
+__all__ = [
+    "block_product_from_semilocal",
+    "combine_block_products",
+    "extend_value_matrix",
+]
+
+
+def combine_block_products(
+    left: BlockProduct, right: BlockProduct, multiply_fn: MultiplyFn = multiply
+) -> BlockProduct:
+    """``left ⊡ right`` for adjacent runs: relabel into the union and multiply.
+
+    Each run's keys go to their ranks in the merged key universe (strictly
+    increasing — the relabelling map of the paper's §4.2).
+    """
+    if left.size == 0:
+        return right
+    if right.size == 0:
+        return left
+    universe, (left_slots, right_slots) = _part_slots([left, right])
+    values = np.empty(universe, dtype=np.float64)
+    ties = np.empty(universe, dtype=np.int64)
+    for part, slots in ((left, left_slots), (right, right_slots)):
+        values[slots] = part.key_values
+        ties[slots] = part.key_ties
+    left_embedded = embed_into_universe(left.matrix, left_slots, universe)
+    right_embedded = embed_into_universe(right.matrix, right_slots, universe)
+    return BlockProduct(multiply_fn(left_embedded, right_embedded), values, ties)
 
 
 def block_product_from_semilocal(

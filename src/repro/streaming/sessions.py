@@ -18,9 +18,9 @@ The session objects are the user-facing surface of the streaming subsystem:
 
 Both sessions delegate the heavy lifting to one
 :class:`~repro.streaming.aggregator.SeaweedAggregator` and therefore inherit
-its cost profile: sliding mutations touch a leaf block plus the O(log n)
-node path, answers come from seam sweeps over the cover, and the root
-product is only folded when a sweep-shaped query genuinely needs it.
+its cost profile: a sliding mutation re-combs only the leaf blocks it
+touches, answers come from seam sweeps across the leaves, and the window is
+combed whole only when a sweep-shaped query genuinely needs it.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..lis.semilocal import SemiLocalLIS
-from .aggregator import DEFAULT_LEAF_SIZE, SeaweedAggregator
+from .aggregator import SeaweedAggregator
 
 __all__ = ["StreamingLIS", "StreamingLCS"]
 
 
 class StreamingLIS:
-    """Sliding-window semi-local LIS with incremental recomposition.
+    """Sliding-window semi-local LIS over combed leaf blocks.
 
     Parameters
     ----------
@@ -45,21 +45,13 @@ class StreamingLIS:
         window unbounded; ``append``/``evict`` always remain available).
     strict:
         Strictly increasing (default) vs non-decreasing subsequences.
-    leaf_size:
-        Forwarded to the underlying :class:`SeaweedAggregator`.
     """
 
-    def __init__(
-        self,
-        *,
-        window: Optional[int] = None,
-        strict: bool = True,
-        leaf_size: int = DEFAULT_LEAF_SIZE,
-    ) -> None:
+    def __init__(self, *, window: Optional[int] = None, strict: bool = True) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be positive (or None), got {window}")
         self.window = window
-        self.aggregator = SeaweedAggregator(strict=strict, leaf_size=leaf_size)
+        self.aggregator = SeaweedAggregator(strict=strict)
         self.ticks = 0
 
     # -------------------------------------------------------------- mutations
@@ -87,7 +79,7 @@ class StreamingLIS:
         return dropped
 
     def update(self, position: int, value: float) -> None:
-        """Replace the symbol at window ``position`` (O(log n) recombination)."""
+        """Replace the symbol at window ``position`` (one leaf re-combed)."""
         self.aggregator.update(position, value)
         self.ticks += 1
 
@@ -122,11 +114,11 @@ class StreamingLIS:
         return int(self.substring_scores(i, j)[0])
 
     def window_sweep(self, width: int, step: int = 1) -> np.ndarray:
-        """Every ``width``-wide rank window, answered from the root product."""
+        """Every ``width``-wide rank window, answered from the window comb."""
         return self.aggregator.window_sweep(width, step)
 
     def to_semilocal(self) -> SemiLocalLIS:
-        """The window's value-interval product (folds and caches the root)."""
+        """The window's value-interval product (one comb, cached)."""
         return self.aggregator.to_semilocal()
 
     def counters(self) -> Dict[str, int]:
@@ -145,17 +137,9 @@ class StreamingLCS:
     window:
         Maximum number of live ``T`` symbols kept by :meth:`push` (``None``
         keeps ``T`` unbounded).
-    leaf_size:
-        Forwarded to the underlying match-point :class:`SeaweedAggregator`.
     """
 
-    def __init__(
-        self,
-        reference: Sequence,
-        *,
-        window: Optional[int] = None,
-        leaf_size: int = DEFAULT_LEAF_SIZE,
-    ) -> None:
+    def __init__(self, reference: Sequence, *, window: Optional[int] = None) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be positive (or None), got {window}")
         self.reference = np.asarray(reference)
@@ -167,7 +151,7 @@ class StreamingLCS:
         for value in np.unique(self.reference):
             positions = np.flatnonzero(self.reference == value)[::-1].astype(np.float64)
             self._matches[float(value)] = positions
-        self.aggregator = SeaweedAggregator(strict=True, leaf_size=leaf_size)
+        self.aggregator = SeaweedAggregator(strict=True)
         self._t_symbols: List[float] = []
         self._t_counts: List[int] = []
         self.ticks = 0
@@ -235,8 +219,8 @@ class StreamingLCS:
         """Batched ``LCS(S, T_window[i:j])`` over ``T``-position windows.
 
         A ``T`` window is a *split-order* range of match points, so each
-        window runs one seam sweep over the range cover (edge blocks plus
-        memoized nodes) — no root product is materialised.
+        window runs one seam sweep over its leaves (clipped edge leaves
+        combed for the whole batch at once) — no product is materialised.
         """
         i = np.atleast_1d(np.asarray(i, dtype=np.int64))
         j = np.atleast_1d(np.asarray(j, dtype=np.int64))

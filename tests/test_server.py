@@ -827,6 +827,51 @@ class TestSessions:
         finally:
             handle.stop()
 
+    def test_session_answers_never_run_on_the_event_loop(self, monkeypatch):
+        """Every session answer is computed on the service thread: a GET
+        returns the state kept by the last push instead of reading the
+        session on the loop while the service thread may mutate it."""
+        import asyncio
+
+        from repro.streaming import StreamingLCS, StreamingLIS
+
+        on_loop = []
+
+        def recording(method):
+            def wrapper(self):
+                try:
+                    asyncio.get_running_loop()
+                    on_loop.append(True)
+                except RuntimeError:
+                    on_loop.append(False)
+                return method(self)
+
+            return wrapper
+
+        monkeypatch.setattr(StreamingLIS, "lis_length", recording(StreamingLIS.lis_length))
+        monkeypatch.setattr(StreamingLCS, "lcs_length", recording(StreamingLCS.lcs_length))
+        handle = start_server()
+        try:
+            _, _, lis = post_json(handle.url + "/sessions", {"kind": "lis", "push": [3, 1, 2]})
+            _, _, lcs = post_json(
+                handle.url + "/sessions",
+                {"kind": "lcs", "string_workload": "correlated_pair", "n": 24, "seed": 3,
+                 "push": [1, 2, 3]},
+            )
+            for sid in (lis["id"], lcs["id"]):
+                status, _, pushed = post_json(
+                    handle.url + f"/sessions/{sid}/push", {"symbols": [4, 5]}
+                )
+                assert status == 200
+                status, _, fetched = get_json(handle.url + f"/sessions/{sid}")
+                assert status == 200 and fetched["answer"] == pushed["answer"]
+            status, _, listing = get_json(handle.url + "/sessions")
+            assert status == 200 and len(listing["sessions"]) == 2
+        finally:
+            handle.stop()
+        assert not any(on_loop), "a session answer ran on the event-loop thread"
+        assert len(on_loop) == 4, on_loop  # two creations, two pushes; GETs read none
+
     def test_session_validation(self):
         handle = start_server()
         try:

@@ -195,6 +195,41 @@ class TestWorkerCrashRecovery:
         finally:
             router.close()
 
+    def test_concurrent_restarts_leak_no_pipe_ends(self, monkeypatch):
+        """A worker forked while another spawn still holds its child's pipe
+        ends (here the exit sentinel) keeps them open, and closing the router
+        then waits out a 5 s join on the other worker."""
+        import threading
+
+        router = ShardRouter(2)
+        if router.serial_fallback:
+            router.close()
+            pytest.skip("no process workers in this environment")
+        fork = os.fork
+        forked = threading.Event()
+
+        def slow_fork():
+            pid = fork()
+            if pid and not forked.is_set():
+                forked.set()
+                time.sleep(0.15)  # the new worker's pipe ends are open here
+            return pid
+
+        restart = threading.Thread(target=router._workers[0].restart)
+        try:
+            for worker in router._workers:  # crashed, as restarts find them
+                worker.process.kill()
+                worker.process.join(timeout=10)
+            monkeypatch.setattr(os, "fork", slow_fork)
+            restart.start()
+            assert forked.wait(5)
+            router._workers[1].restart()
+            restart.join(10)
+            started = time.monotonic()
+        finally:
+            router.close()
+        assert time.monotonic() - started < 2.0
+
     def test_closed_router_does_not_respawn_workers(self):
         router = ShardRouter(2)
         assert router.stats()["workers"] == "process"
@@ -467,6 +502,102 @@ class TestRouterBehindServer:
         finally:
             handle.stop()
 
+    def test_a_stopped_worker_never_freezes_a_scrape(self):
+        """A SIGSTOPped worker costs a scrape the short fixed budget, never the
+        worker timeout, and never counts as a request's deadline expiry; the
+        shard is served from its last snapshot, and polled afresh once the
+        worker runs again."""
+        import threading
+
+        from repro.obs.metrics import get_registry
+
+        expired = get_registry().counter("repro_deadline_expired_total", labelnames=("stage",))
+        router = ShardRouter(1, worker_timeout=3)
+        handle = start_server(router)
+        worker = router._workers[0]
+        try:
+            status, _, stats = get_json(handle.url + "/stats")
+            assert status == 200
+            assert stats["service"]["per_shard"][0]["snapshot_age_seconds"] == 0.0
+            expired_before = expired.value(stage="worker")
+            os.kill(worker.pid, signal.SIGSTOP)
+            for _ in range(2):
+                replies = {}
+
+                def scrape():
+                    started = time.monotonic()
+                    replies["stats"] = get_json(handle.url + "/stats", timeout=10)
+                    replies["stats_seconds"] = time.monotonic() - started
+
+                scraper = threading.Thread(target=scrape)
+                scraper.start()
+                time.sleep(0.1)
+                started = time.monotonic()
+                status, _, _ = get_json(handle.url + "/healthz", timeout=10)
+                healthz_seconds = time.monotonic() - started
+                scraper.join(timeout=10)
+                assert not scraper.is_alive()
+                assert status == 200 and healthz_seconds < 1.0, healthz_seconds
+                status, _, stats = replies["stats"]
+                assert status == 200 and replies["stats_seconds"] < 1.5
+                assert stats["service"]["per_shard"][0]["snapshot_age_seconds"] > 0.0
+            assert stats["requests"]["deadline_expired"] == 0
+            assert expired.value(stage="worker") == expired_before
+            assert stats["service"]["restarts"] == 0 and worker.process.is_alive()
+
+            os.kill(worker.pid, signal.SIGCONT)
+            assert worker.conn.poll(10), "the abandoned scrape's answer never arrived"
+            status, _, stats = get_json(handle.url + "/stats")
+            assert status == 200
+            assert stats["service"]["per_shard"][0]["snapshot_age_seconds"] == 0.0
+        finally:
+            os.kill(worker.pid, signal.SIGCONT)
+            handle.stop()
+            router.close()
+
+    @pytest.mark.parametrize("recovered_by", ["scrape", "request"])
+    def test_a_worker_stopped_in_a_scrape_is_restarted_once_overdue(self, recovered_by):
+        """A scrape abandons a stopped worker, but the abandoned call keeps
+        its ``worker_timeout``: once that runs out, the next scrape or request
+        kills and restarts the worker at once, without waiting for it."""
+        router = ShardRouter(1, worker_timeout=0.6)
+        handle = start_server(router)
+        worker = router._workers[0]
+        stopped = worker.pid
+        try:
+            assert get_json(handle.url + "/stats")[0] == 200
+            os.kill(stopped, signal.SIGSTOP)
+            status, _, stats = get_json(handle.url + "/stats", timeout=10)
+            assert status == 200 and stats["service"]["restarts"] == 0
+            assert stats["service"]["per_shard"][0]["snapshot_age_seconds"] > 0.0
+            waited_until = time.monotonic() + 5
+            while not worker.answer_overdue() and time.monotonic() < waited_until:
+                time.sleep(0.02)
+            assert worker.answer_overdue()
+
+            started = time.monotonic()
+            if recovered_by == "scrape":
+                status, _, stats = get_json(handle.url + "/stats", timeout=10)
+            else:
+                status, _, body = post_json(handle.url + "/v2/batch", {
+                    "requests": [{"op": "lis_length", "workload": "random", "n": 64, "seed": 1}]
+                }, timeout=10)
+                assert body["ok"] == 1
+            # Neither path waits on the stopped worker; a fresh
+            # worker_timeout would have held the request for 0.6 s.
+            assert status == 200 and time.monotonic() - started < 0.45
+            if recovered_by == "request":
+                status, _, stats = get_json(handle.url + "/stats", timeout=10)
+            assert stats["service"]["restarts"] == 1
+            assert stats["service"]["resilience"]["hangs"] == 1
+            assert stats["service"]["per_shard"][0]["snapshot_age_seconds"] == 0.0
+            assert worker.pid != stopped and worker.process.is_alive()
+        finally:
+            if worker.pid == stopped:
+                os.kill(stopped, signal.SIGCONT)
+            handle.stop()
+            router.close()
+
     def test_scrapes_never_wait_on_an_abandoned_answer(self):
         """A deadline-abandoned cold build leaves its worker owing an answer;
         a scrape serves the shard's last snapshot instead of draining it."""
@@ -486,6 +617,12 @@ class TestRouterBehindServer:
                 handle.url + "/v2/batch", cold, headers={"X-Repro-Deadline-Ms": "50"}
             )
             assert status == 504 and body["deadline_expired"] == 1
+            # The edge answers 504 on its own clock; wait until the router
+            # has abandoned the worker call too, so the scrape meets a
+            # worker that owes an answer rather than one still locked.
+            waited_until = time.monotonic() + 5
+            while router._workers[0]._stale == 0 and time.monotonic() < waited_until:
+                time.sleep(0.01)
             status, _, stats = get_json(handle.url + "/stats")
             assert status == 200
             doc = stats["service"]["per_shard"][0]

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.seaweed as seaweed_module
+import repro.streaming.aggregator as aggregator_module
 from repro.experiments import load_artifact, run_experiment
 from repro.experiments.cli import main as cli_main
 from repro.lcs.dp_baseline import lcs_length_dp
 from repro.lis import lis_length, rank_transform, value_interval_matrix
-from repro.lis.semilocal import DENSE_BLOCK_SIZE
 from repro.streaming import (
     SeaweedAggregator,
     StreamingLCS,
@@ -18,7 +21,7 @@ from repro.streaming import (
     cover_scores,
     extend_value_matrix,
 )
-from repro.streaming.aggregator import NodeStore, empty_block_product
+from repro.streaming.aggregator import _SWEEP_BATCH_LIMIT, LEAF_SIZE
 from repro.workloads import make_sequence, make_string_pair
 
 
@@ -29,6 +32,14 @@ def _oracle_rank_scores(window, x, y, strict):
         [lis_length(ranks[(ranks >= xi) & (ranks < yi)].tolist()) for xi, yi in zip(x, y)],
         dtype=np.int64,
     )
+
+
+@pytest.fixture
+def small_leaves(monkeypatch):
+    """Leaves of 8 elements (the aggregator reads ``LEAF_SIZE`` per append),
+    so windows of tens of elements cross seams, evict across leaf
+    boundaries and clip edge leaves."""
+    monkeypatch.setattr(aggregator_module, "LEAF_SIZE", 8)
 
 
 # ------------------------------------------------------------- block products
@@ -55,8 +66,9 @@ class TestBlockProducts:
 
     def test_combine_with_identity_is_a_noop(self):
         block = build_block_product(np.asarray([3.0, 1.0, 2.0]), -np.arange(3))
-        assert combine_block_products(empty_block_product(), block) is block
-        assert combine_block_products(block, empty_block_product()) is block
+        identity = build_block_product(np.empty(0), np.empty(0, dtype=np.int64))
+        assert combine_block_products(identity, block) is block
+        assert combine_block_products(block, identity) is block
 
     def test_cover_scores_equal_root_scores(self):
         rng = np.random.default_rng(2)
@@ -74,10 +86,11 @@ class TestBlockProducts:
 
 # ----------------------------------------------------------------- aggregator
 class TestSeaweedAggregator:
+    @pytest.mark.usefixtures("small_leaves")
     @pytest.mark.parametrize("strict", [True, False])
     def test_random_tick_sequences_match_oracles(self, strict):
         rng = np.random.default_rng(3 if strict else 4)
-        agg = SeaweedAggregator(strict=strict, leaf_size=8)
+        agg = SeaweedAggregator(strict=strict)
         window = []
         for _ in range(45):
             op = rng.integers(0, 4)
@@ -105,10 +118,11 @@ class TestSeaweedAggregator:
                     agg.rank_scores(x, y), _oracle_rank_scores(window, x, y, strict)
                 )
 
+    @pytest.mark.usefixtures("small_leaves")
     @pytest.mark.parametrize("strict", [True, False])
     def test_root_product_is_bit_identical_to_rebuild(self, strict):
         rng = np.random.default_rng(5)
-        agg = SeaweedAggregator(strict=strict, leaf_size=16)
+        agg = SeaweedAggregator(strict=strict)
         stream = rng.integers(0, 40, size=400).astype(float)
         agg.append(stream[:160])
         for tick in range(12):
@@ -117,23 +131,33 @@ class TestSeaweedAggregator:
             oracle = value_interval_matrix(agg.window_values(), strict=strict)
             assert agg.to_semilocal().matrix == oracle.matrix
 
-    def test_multi_leaf_append_counts_leaf_multiplies(self):
-        rng = np.random.default_rng(60)
-        # leaf_size above the comb's leaf size so leaf builds themselves
-        # perform (and count) multiplications.
-        leaf_size = DENSE_BLOCK_SIZE + DENSE_BLOCK_SIZE // 2
-        stream = rng.integers(0, 5000, size=2 * leaf_size).astype(float)
-        agg = SeaweedAggregator(leaf_size=leaf_size)
-        agg.append(stream)
-        assert agg.stats.blocks_built == 2
-        assert agg.stats.multiplies > 0, "leaf builds must have counted multiplies"
-        leaf_multiplies = agg.stats.multiplies
-        assert agg.to_semilocal().matrix == value_interval_matrix(stream).matrix
-        assert agg.stats.multiplies > leaf_multiplies  # the root fold counts too
+    def test_touched_leaves_are_combed_in_one_call(self, monkeypatch):
+        calls = []
+        build = aggregator_module.build_block_matrices
 
+        def counting_build(roots, *args):
+            calls.append(len(roots))
+            return build(roots, *args)
+
+        monkeypatch.setattr(aggregator_module, "build_block_matrices", counting_build)
+        rng = np.random.default_rng(60)
+        stream = rng.integers(0, 5000, size=5 * LEAF_SIZE).astype(float)
+        session = StreamingLIS(window=3 * LEAF_SIZE)
+        session.push(stream[: 3 * LEAF_SIZE])
+        assert session.lis_length() == lis_length(stream[: 3 * LEAF_SIZE].tolist())
+        assert calls == [3]
+        # Sliding by half a leaf touches the head leaf (evicted prefix) and
+        # a new tail leaf: both are combed in the one call of the next read.
+        half = LEAF_SIZE // 2
+        session.push(stream[3 * LEAF_SIZE : 3 * LEAF_SIZE + half])
+        assert session.lis_length() == lis_length(session.window_values().tolist())
+        assert calls == [3, 2]
+        assert session.counters()["blocks_built"] == 5
+
+    @pytest.mark.usefixtures("small_leaves")
     def test_substring_scores_match_patience(self):
         rng = np.random.default_rng(7)
-        agg = SeaweedAggregator(leaf_size=8)
+        agg = SeaweedAggregator()
         stream = rng.integers(0, 25, size=150).astype(float)
         agg.append(stream[:100])
         agg.append(stream[100:])
@@ -145,24 +169,24 @@ class TestSeaweedAggregator:
         want = [lis_length(window[lo:hi].tolist()) for lo, hi in zip(i, j)]
         assert np.array_equal(got, np.asarray(want))
 
+    @pytest.mark.usefixtures("small_leaves")
     def test_window_sweep_matches_rebuilt_matrix(self):
         rng = np.random.default_rng(8)
-        agg = SeaweedAggregator(leaf_size=16)
+        agg = SeaweedAggregator()
         agg.append(rng.integers(0, 99, size=120).astype(float))
         agg.evict(13)
         oracle = value_interval_matrix(agg.window_values())
         starts = np.arange(0, len(agg) - 24 + 1, 6)
         assert np.array_equal(agg.window_sweep(24, 6), oracle.score(starts, starts + 24))
 
-    def test_update_recombines_only_the_root_path(self):
-        agg = SeaweedAggregator(leaf_size=8)
-        agg.append(np.arange(64, dtype=float))
-        agg.lis_length()  # populate the node path
-        before = agg.stats.multiplies
-        agg.update(20, -3.0)
-        assert agg.lis_length() == 63
-        path_multiplies = agg.stats.multiplies - before
-        assert 0 < path_multiplies <= 8, "update must recombine at most the root path"
+    def test_update_rebuilds_one_leaf(self):
+        agg = SeaweedAggregator()
+        agg.append(np.arange(4 * LEAF_SIZE, dtype=float))
+        agg.lis_length()  # comb every leaf
+        before = agg.stats.blocks_built
+        agg.update(LEAF_SIZE + 20, -3.0)
+        assert agg.lis_length() == 4 * LEAF_SIZE - 1
+        assert agg.stats.blocks_built - before == 1, "update must re-comb only its leaf"
 
     def test_empty_and_degenerate_windows(self):
         agg = SeaweedAggregator()
@@ -176,35 +200,60 @@ class TestSeaweedAggregator:
         with pytest.raises(ValueError):
             agg.evict(-1)
 
-    def test_node_store_accounting(self):
-        store = NodeStore()
+    def test_nbytes_accounts_score_tables(self):
         block = build_block_product(np.asarray([2.0, 1.0, 3.0]), -np.arange(3))
-        store.put((0, 4), block)
-        assert (0, 4) in store and len(store) == 1
-        assert store.nbytes == block.nbytes
-        dense_before = block.nbytes
-        block.dense_distribution()
-        assert block.nbytes > dense_before, "dense tables must be accounted"
-        assert store.nbytes == block.nbytes
-        assert store.prune_before(5) == 1
-        assert len(store) == 0
-        counters = store.counters()
-        assert counters["inserts"] == 1 and counters["prunes"] == 1
+        before = block.nbytes
+        block.score_table()
+        assert block.nbytes > before, "score tables must be accounted"
+        agg = SeaweedAggregator()
+        agg.append(np.arange(2 * LEAF_SIZE + 5, dtype=float))
+        agg.lis_length()
+        leaves = sum(leaf.product.nbytes for leaf in agg._leaves)
+        assert agg.nbytes == leaves
+        agg.window_sweep(8)
+        assert agg.nbytes == leaves + agg.to_semilocal().matrix.nbytes
 
     def test_counters_shape(self):
-        agg = SeaweedAggregator(leaf_size=8)
-        agg.append(np.arange(20, dtype=float))
+        agg = SeaweedAggregator()
+        agg.append(np.arange(LEAF_SIZE + 20, dtype=float))
         agg.lis_length()
         doc = agg.counters()
-        for key in ("multiplies", "blocks_built", "window", "leaves", "node_store", "nbytes"):
-            assert key in doc
-        assert doc["window"] == 20
+        assert set(doc) == {
+            "blocks_built", "elements_appended", "elements_evicted", "updates",
+            "seam_sweeps", "window", "leaves", "nbytes",
+        }
+        assert doc["window"] == LEAF_SIZE + 20 and doc["leaves"] == 2
+
+    def test_no_multiply_on_the_sliding_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ⊡ multiply ran on the sliding path")
+
+        monkeypatch.setattr(aggregator_module, "multiply", refuse)
+        monkeypatch.setattr(seaweed_module, "multiply_permutations", refuse)
+        rng = np.random.default_rng(61)
+        session = StreamingLIS(window=4 * LEAF_SIZE)
+        stream = rng.integers(0, 1000, size=8 * LEAF_SIZE).astype(float)
+        session.push(stream[: 4 * LEAF_SIZE])
+        for tick in range(4):
+            lo = 4 * LEAF_SIZE + tick * LEAF_SIZE
+            session.push(stream[lo : lo + LEAF_SIZE])
+            window = session.window_values()
+            assert session.lis_length() == lis_length(window.tolist())
+            session.rank_intervals([0, 10, 100], [200, 150, 256])
+            session.substring_scores([3, 70], [250, 190])
+        reference, t = make_string_pair("correlated_pair", 96, seed=4)
+        lcs = StreamingLCS(reference[:48], window=48)
+        lcs.push(t[:48])
+        lcs.push(t[48:])
+        assert lcs.lcs_length() == lcs_length_dp(reference[:48], t[48:])
+        lcs.query_batch([0, 5], [40, 30])
 
 
 # ------------------------------------------------------------------- sessions
 class TestStreamingLIS:
+    @pytest.mark.usefixtures("small_leaves")
     def test_push_maintains_the_window_cap(self):
-        session = StreamingLIS(window=50, leaf_size=8)
+        session = StreamingLIS(window=50)
         rng = np.random.default_rng(9)
         stream = rng.integers(0, 30, size=200).astype(float)
         session.push(stream[:50])
@@ -215,8 +264,9 @@ class TestStreamingLIS:
             assert np.array_equal(session.window_values(), stream[lo : lo + 50])
             assert session.lis_length() == lis_length(session.window_values())
 
+    @pytest.mark.usefixtures("small_leaves")
     def test_non_strict_session(self):
-        session = StreamingLIS(window=40, strict=False, leaf_size=8)
+        session = StreamingLIS(window=40, strict=False)
         rng = np.random.default_rng(10)
         stream = rng.integers(0, 5, size=120).astype(float)  # duplicate-heavy
         session.push(stream[:40])
@@ -224,8 +274,9 @@ class TestStreamingLIS:
             session.push(stream[40 + tick * 10 : 50 + tick * 10])
             assert session.lis_length() == lis_length(session.window_values(), strict=False)
 
+    @pytest.mark.usefixtures("small_leaves")
     def test_rank_probes_and_substring_probes(self):
-        session = StreamingLIS(window=64, leaf_size=8)
+        session = StreamingLIS(window=64)
         rng = np.random.default_rng(11)
         session.push(rng.integers(0, 100, size=64).astype(float))
         window = session.window_values()
@@ -246,10 +297,11 @@ class TestStreamingLIS:
 
 
 class TestStreamingLCS:
+    @pytest.mark.usefixtures("small_leaves")
     def test_sliding_lcs_matches_dp(self):
         rng = np.random.default_rng(12)
         reference = rng.integers(0, 6, size=36)
-        session = StreamingLCS(reference, window=28, leaf_size=8)
+        session = StreamingLCS(reference, window=28)
         stream = rng.integers(0, 6, size=100)
         session.push(stream[:28])
         for tick in range(12):
@@ -258,10 +310,11 @@ class TestStreamingLCS:
             t_window = session.t_window()
             assert session.lcs_length() == lcs_length_dp(reference, t_window)
 
+    @pytest.mark.usefixtures("small_leaves")
     def test_subwindow_queries_and_sweep(self):
         rng = np.random.default_rng(13)
         reference = rng.integers(0, 5, size=24)
-        session = StreamingLCS(reference, leaf_size=8)
+        session = StreamingLCS(reference)
         stream = rng.integers(0, 5, size=40)
         session.append(stream)
         t_window = session.t_window()
@@ -283,6 +336,115 @@ class TestStreamingLCS:
         assert session.lcs_length() == 0
         with pytest.raises(ValueError):
             session.query(0, 5)
+
+
+# ----------------------------------------------------- generated op sequences
+_LIS_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["push", "append", "evict"]), st.integers(1, 2 * LEAF_SIZE)),
+        st.tuples(st.just("update"), st.integers(0, 10**6)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _probe_windows(rng, m, count):
+    x = rng.integers(0, m + 1, size=count)
+    return x, np.minimum(m, x + rng.integers(0, m + 1, size=count))
+
+
+class TestGeneratedSessions:
+    """Op sequences on windows of up to five leaves, every answer checked.
+
+    Each example warms its window up first, so the ops act on several leaves;
+    symbol values come from a drawn seed.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        strict=st.booleans(),
+        window=st.integers(1, 5 * LEAF_SIZE),
+        ops=_LIS_OPS,
+        seed=st.integers(0, 2**16),
+    )
+    def test_lis_session_matches_patience_and_rebuild(self, strict, window, ops, seed):
+        rng = np.random.default_rng(seed)
+        session = StreamingLIS(window=window, strict=strict)
+        model = rng.integers(0, 40, size=window).astype(float).tolist()
+        session.push(model)
+        for op, arg in ops:
+            if op in ("push", "append"):
+                values = rng.integers(0, 40, size=arg).astype(float).tolist()
+                getattr(session, op)(values)
+                model += values
+                if op == "push":
+                    model = model[max(0, len(model) - window) :]
+            elif op == "evict":
+                assert session.evict(arg) == min(arg, len(model))
+                model = model[arg:]
+            elif model:
+                value = float(rng.integers(0, 40))
+                session.update(arg % len(model), value)
+                model[arg % len(model)] = value
+            m = len(model)
+            assert np.array_equal(session.window_values(), np.asarray(model))
+            assert session.lis_length() == lis_length(model, strict=strict)
+            # Narrow batches take the seam sweep; the wide one (and every
+            # query after it until the next mutation) reads the window comb.
+            for count in (3, _SWEEP_BATCH_LIMIT + 4):
+                x, y = _probe_windows(rng, m, count)
+                assert np.array_equal(
+                    session.rank_intervals(x, y), _oracle_rank_scores(model, x, y, strict)
+                )
+            i, j = _probe_windows(rng, m, 4)
+            assert session.substring_scores(i, j).tolist() == [
+                lis_length(model[lo:hi], strict=strict) for lo, hi in zip(i, j)
+            ]
+            if m:
+                rebuilt = value_interval_matrix(np.asarray(model), strict=strict)
+                width = int(rng.integers(1, m + 1))
+                starts = np.arange(0, m - width + 1, 3)
+                assert np.array_equal(
+                    session.window_sweep(width, 3), rebuilt.score(starts, starts + width)
+                )
+                assert session.to_semilocal().matrix == rebuilt.matrix
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        window=st.integers(1, 48),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["push", "append", "evict"]), st.integers(1, 24)),
+            min_size=1,
+            max_size=5,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_lcs_session_matches_dp(self, window, ops, seed):
+        rng = np.random.default_rng(seed)
+        # Four symbols over 24 reference positions: about six match points
+        # per T symbol, so a full window spans several leaves.
+        reference = rng.integers(0, 4, size=24)
+        session = StreamingLCS(reference, window=window)
+        model = rng.integers(0, 5, size=window).tolist()
+        session.push(np.asarray(model))
+        for op, arg in ops:
+            if op == "evict":
+                assert session.evict(arg) == min(arg, len(model))
+                model = model[arg:]
+            else:
+                symbols = rng.integers(0, 5, size=arg).tolist()
+                getattr(session, op)(np.asarray(symbols))
+                model += symbols
+                if op == "push":
+                    model = model[max(0, len(model) - window) :]
+            t = np.asarray(model, dtype=reference.dtype)
+            assert np.array_equal(session.t_window(), t)
+            assert session.lcs_length() == lcs_length_dp(reference, t)
+            i, j = _probe_windows(rng, len(model), 3)
+            assert session.query_batch(i, j).tolist() == [
+                lcs_length_dp(reference, t[lo:hi]) for lo, hi in zip(i, j)
+            ]
 
 
 # ------------------------------------------------------------------ recompose
@@ -326,7 +488,7 @@ class TestStreamingThroughputSpec:
         from repro.experiments.specs import run_streaming_throughput_point
 
         metrics = run_streaming_throughput_point(
-            "random", n=256, ticks=4, slide=16, leaf_size=16, rebuild_sample=1
+            "random", n=256, ticks=4, slide=16, rebuild_sample=1
         )
         assert metrics["blocks_rebuilt"] >= 4
         assert metrics["speedup"] > 0
@@ -342,7 +504,6 @@ class TestStreamCLI:
                 "--window", "128",
                 "--ticks", "3",
                 "--slide", "16",
-                "--leaf-size", "16",
                 "--seed", "5",
                 "--artifact", str(artifact),
             ]
@@ -362,7 +523,7 @@ class TestStreamCLI:
             artifact = tmp_path / f"stream-{seed}.json"
             assert cli_main(
                 ["stream", "--window", "96", "--ticks", "2", "--slide", "8",
-                 "--leaf-size", "16", "--seed", str(seed), "--artifact", str(artifact)]
+                 "--seed", str(seed), "--artifact", str(artifact)]
             ) == 0
             documents.append(load_artifact(str(artifact)))
         answers = [
@@ -374,7 +535,7 @@ class TestStreamCLI:
         artifact = tmp_path / "stream-repeat.json"
         assert cli_main(
             ["stream", "--window", "96", "--ticks", "2", "--slide", "8",
-             "--leaf-size", "16", "--seed", "1", "--artifact", str(artifact)]
+             "--seed", "1", "--artifact", str(artifact)]
         ) == 0
         repeat = load_artifact(str(artifact))
         assert [p["metrics"]["answer"] for p in repeat["points"]] == answers[0]
@@ -383,7 +544,7 @@ class TestStreamCLI:
         artifact = tmp_path / "stream-lcs.json"
         code = cli_main(
             ["stream", "--session", "lcs", "--window", "64", "--ticks", "2",
-             "--slide", "8", "--leaf-size", "16", "--artifact", str(artifact)]
+             "--slide", "8", "--artifact", str(artifact)]
         )
         assert code == 0
         document = load_artifact(str(artifact))
