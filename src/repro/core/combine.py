@@ -18,24 +18,30 @@ vectorised binary search.  This realises exactly the characterisation of
 Lemmas 3.7-3.10 (interesting points and surviving sub-result points) without
 materialising the ``opt`` table.
 
-The query structures are fully vectorised across colors: all points live in
-color-major sorted arrays whose values are shifted by ``color * span``, so a
-batch of per-color counts is one ``np.searchsorted`` over color-shifted keys
-— there is no Python loop over colors anywhere on the query path.  Small
-instances instead pre-compute dense per-color distribution tables (int16 —
-counts are bounded by the point count — built in place) and answer every
-corner by direct indexing.
+The dominance counts come from a *block-row table*, the block decomposition
+of Tiskin's semi-local framework: the points are sorted by row, and
+cumulative per-color column counts are kept only at every ``B``-th point
+(``B ≈ √P`` for ``P`` points), so the table has ``H·(P/B + 2)·(n + 1)``
+cells instead of the ``H·(n + 1)²`` of dense distribution matrices.  A corner
+``(i, j)`` reads the table at the first block boundary after its first point
+with row ``>= i`` and counts the at most ``B`` points in between directly.
+Where even that table would exceed :data:`BLOCK_TABLE_LIMIT` cells, a rank
+tree over color-major sorted arrays answers instead, in ``O(n log n)``
+words.  Either way a batch of corners is a fixed number of vectorised
+passes, with no Python loop over colors or corners.
 
 The same engine is used by the sequential seaweed reference multiplication
-(:mod:`repro.core.seaweed`, with ``H = 2`` or larger fan-in) and by the local
-per-machine steps of the MPC algorithms (:mod:`repro.mpc_monge`).  The
-iterative engine's hot path uses the specialised staircase merge in
+(:mod:`repro.core.seaweed`, with ``H = 2`` or larger fan-in), by the local
+per-machine steps of the MPC algorithms (:mod:`repro.mpc_monge`) and by the
+semi-local indexes (:mod:`repro.lis.semilocal`, ``H = 1``).  The iterative
+engine's hot path uses the specialised staircase merge in
 :mod:`repro.core.seaweed` instead; this module is its general-``H`` oracle.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import math
+from typing import Optional
 
 import numpy as np
 
@@ -112,12 +118,192 @@ class _PrefixRankTree:
         return out
 
 
-#: Maximum number of dense distribution-table entries kept per point set.
-#: Small instances pre-compute per-color distribution matrices and answer all
-#: corner queries by direct indexing, which removes the per-call overhead of
-#: the logarithmic rank structure (important because the sequential seaweed
-#: recursion issues very many small combines).
-DENSE_TABLE_LIMIT = 1 << 22
+#: Cell budget of a point set's block-row table.  Above it the point set
+#: answers from the rank tree instead, which keeps memory at O(n log n) words
+#: where the table would not: the top combines of ``multiply_rounds`` and
+#: ``lis_rounds`` and the indexes of long strings.
+BLOCK_TABLE_LIMIT = 1 << 22
+
+
+def _block_size(num_points: int) -> int:
+    """Points per block of the block-row table: ``max(8, ⌊√P⌋)``.
+
+    The table costs ``H·(P/B)·n`` cells to build and a corner costs a pass
+    over ``B`` points, so ``B ≈ √P`` balances the two for readers that ask
+    on the order of ``n`` corners per build, as the MPC combine's binary
+    searches do.  Swept over perfbench's inputs on one pinned CPU, rules in
+    rotating order: for B = √P/2 / √P / 2√P, a ``build_cold`` index build
+    plus its request's queries (n 768–1280) read 0.28 / 0.20 / 0.14 ms
+    (112 / 71 / 49 KB of index), and the combines of one ``mpc_lis`` solve
+    4.66 / 4.59 / 4.68 ms (medians of 9 rounds, seed 30001).  Alternating
+    √P/2 with √P read 4.67 → 4.50 ms (15 rounds) and 4.59 → 4.25 ms (9
+    rounds, seed 20101) per solve; in a fixed-order sweep B = 8 and √P/4
+    read 5.6 and 4.5 ms.
+    """
+    return max(8, math.isqrt(num_points))
+
+
+class _BlockRowCounts:
+    """Per-color dominance counts from a block-row table.
+
+    Each point gets the key ``color·(n_cols + 1) + col``, which puts the
+    colors side by side on one axis, and the points are sorted by row and
+    cut into blocks of ``B``.  ``_table[k, t]`` is the number of points at
+    row-sorted position ``>= k·B`` with key ``< t``.  For a corner ``(i, j)``
+    let ``p`` be the position of the first point with row ``>= i``: the
+    points from ``p`` on with key below ``q·(n_cols + 1) + j`` (the stacked
+    dominance count) are the table at the next block boundary plus the
+    members of ``p``'s block from ``p`` on, at most ``B`` of them, which one
+    vectorised pass over the whole batch counts.
+    """
+
+    __slots__ = ("_row_start", "_suffix", "_table", "_block_keys", "_offsets", "_span")
+
+    def __init__(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        colors: np.ndarray,
+        num_colors: int,
+        n_rows: int,
+        n_cols: int,
+        block: int,
+    ) -> None:
+        num_points = len(rows)
+        order = np.argsort(rows, kind="stable")
+        colors = colors[order]
+        span = n_cols + 1
+        keys = colors * span + cols[order]
+        num_blocks = num_points // block + 1  # the last one is partial, maybe empty
+        dtype = count_dtype(num_points)
+        # _row_start[i]: the row-sorted position of the first point with row >= i.
+        self._row_start = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=self._row_start[1:])
+        # _suffix[p, x]: the color-x points at row-sorted position >= p.
+        self._suffix = np.zeros((num_points + 1, num_colors), dtype=dtype)
+        self._suffix[np.arange(num_points), colors] = 1
+        np.cumsum(self._suffix[::-1], axis=0, out=self._suffix[::-1])
+        # Each point counts once at (its block, key + 1); a suffix over the
+        # blocks and a prefix over the keys then give the table.  The suffix
+        # is a loop of row adds: 2-3.6x faster than np.cumsum along axis 0
+        # on tables of 34 x 1025 to 130 x 16385 cells.
+        table = np.bincount(
+            np.arange(num_points) // block * (num_colors * span) + keys + 1,
+            minlength=(num_blocks + 1) * num_colors * span,
+        ).reshape(num_blocks + 1, num_colors * span)
+        for k in range(num_blocks - 1, -1, -1):
+            table[k] += table[k + 1]
+        np.cumsum(table, axis=1, out=table)
+        self._table = table.astype(dtype)
+        # Block members column-major, (B, num_blocks), so a batch of blocks
+        # is gathered as (B, batch) and reduced along its first axis.  The
+        # padding's key is past every threshold.
+        key_dtype = count_dtype(num_colors * span)
+        padded = np.full(num_blocks * block, num_colors * span, dtype=key_dtype)
+        padded[:num_points] = keys
+        self._block_keys = np.ascontiguousarray(padded.reshape(num_blocks, block).T)
+        self._offsets = np.arange(block, dtype=np.int16)[:, None]
+        self._span = (np.arange(num_colors, dtype=np.int64) * span)[:, None]
+
+    @property
+    def nbytes(self) -> int:
+        parts = (self._row_start, self._suffix, self._table, self._block_keys)
+        return sum(part.nbytes for part in parts)
+
+    def row_suffix(self, i: np.ndarray) -> np.ndarray:
+        return self._suffix[self._row_start[i]].astype(np.int64)
+
+    def col_prefix(self, j: np.ndarray) -> np.ndarray:
+        first = self._table[0]
+        return (first.take(self._span + j) - first.take(self._span)).T.astype(np.int64)
+
+    def stacked_dominance(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``out[b, q] = Σ_{x<q} PΣ_{C,x}(i[b], n) + PΣ_{C,q}(i[b], j[b])``,
+        the first two terms of ``F_q``: the points with row ``>= i`` whose key
+        is below ``q·(n_cols + 1) + j``."""
+        block = len(self._offsets)
+        start = self._row_start[i]
+        which = start // block
+        threshold = self._span + j  # (H, batch): the key bound of each color
+        members = self._block_keys.take(which, axis=1)
+        lead = (start - which * block).astype(np.int16)
+        below = (members < threshold.astype(members.dtype)[:, None, :]) & (self._offsets >= lead)
+        in_block = below.view(np.uint8).sum(axis=1, dtype=np.int16)
+        beyond = self._table.take((which + 1) * self._table.shape[1] + threshold)
+        return (beyond + in_block).T.astype(np.int64)
+
+
+class _RankTreeCounts:
+    """Per-color dominance counts from color-major sorted arrays.
+
+    ``_starts[x]`` is color x's offset into the color-major arrays; the
+    ``*_shifted`` arrays hold values offset by ``color * span`` so per-color
+    searchsorted batches collapse into one.  One rank tree over the whole
+    color-major array answers a per-color prefix as the absolute range
+    ``[starts[x], end)``, so batched prefix counts need no per-color
+    structures.
+    """
+
+    __slots__ = (
+        "_row_span", "_col_span", "_starts", "_rows_shifted", "_cols_by_row",
+        "_cols_shifted", "_rank_tree", "_num_colors",
+    )
+
+    def __init__(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        colors: np.ndarray,
+        num_colors: int,
+        n_rows: int,
+        n_cols: int,
+    ) -> None:
+        self._num_colors = num_colors
+        self._row_span = np.int64(n_rows + 1)
+        self._col_span = np.int64(n_cols + 1)
+        counts = np.bincount(colors, minlength=num_colors).astype(np.int64)
+        self._starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        by_row = np.lexsort((rows, colors))
+        self._rows_shifted = rows[by_row] + colors[by_row] * self._row_span
+        self._cols_by_row = cols[by_row]
+        by_col = np.lexsort((cols, colors))
+        self._cols_shifted = cols[by_col] + colors[by_col] * self._col_span
+        self._rank_tree = _PrefixRankTree(self._cols_by_row, n_cols)
+
+    @property
+    def nbytes(self) -> int:
+        parts = (self._starts, self._rows_shifted, self._cols_by_row, self._cols_shifted)
+        return sum(part.nbytes for part in parts) + self._rank_tree.nbytes
+
+    def _color_keys(self, values: np.ndarray, span: np.int64) -> np.ndarray:
+        """``keys[b, x] = x * span + values[b]`` for the shifted searches."""
+        shifts = np.arange(self._num_colors, dtype=np.int64) * span
+        return values[:, None] + shifts[None, :]
+
+    def row_suffix(self, i: np.ndarray) -> np.ndarray:
+        ends = np.searchsorted(self._rows_shifted, self._color_keys(i, self._row_span))
+        return self._starts[1:][None, :] - ends
+
+    def col_prefix(self, j: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self._cols_shifted, self._color_keys(j, self._col_span))
+        return pos - self._starts[:-1][None, :]
+
+    def stacked_dominance(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The lower colors' row suffixes plus color q's dominance count.
+
+        The dominance count is (color-q points with col < j) minus (those
+        with row < i).  The subtrahend is a prefix-range rank query on the
+        color-major tree: the range ``[starts[q], ends[b, q])`` decomposes as
+        tree(ends) minus the exclusive running sum of the col-prefix counts
+        (everything before color q's segment with col < j).
+        """
+        col_prefix = self.col_prefix(j)
+        row_suffix = self.row_suffix(i)
+        ends = self._starts[1:][None, :] - row_suffix
+        before_end = self._rank_tree.prefix_count_less(ends, j[:, None])
+        before_start = np.cumsum(col_prefix, axis=1) - col_prefix
+        lower_rows = np.cumsum(row_suffix, axis=1) - row_suffix
+        return lower_rows + col_prefix - (before_end - before_start)
 
 
 class ColoredPointSet:
@@ -125,9 +311,8 @@ class ColoredPointSet:
 
     Provides vectorised evaluation of the sub-result distribution matrices
     ``PΣ_{C,x}`` and of ``PΣ_C = min_q F_q`` at arbitrary batches of corners.
-
-    ``dense_table_limit`` overrides the module-level :data:`DENSE_TABLE_LIMIT`
-    (tests force the sparse path with ``0``); ``None`` keeps the default.
+    The counts come from a block-row table, or from a rank tree where that
+    table would exceed :data:`BLOCK_TABLE_LIMIT` cells.
     """
 
     def __init__(
@@ -138,8 +323,6 @@ class ColoredPointSet:
         num_colors: int,
         n_rows: int,
         n_cols: int,
-        *,
-        dense_table_limit: Optional[int] = None,
     ) -> None:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -160,127 +343,51 @@ class ColoredPointSet:
         self.cols = cols
         self.colors = colors
 
-        limit = DENSE_TABLE_LIMIT if dense_table_limit is None else int(dense_table_limit)
-        table_cells = (n_rows + 1) * (n_cols + 1) * num_colors
-        self._dense_tables: Optional[np.ndarray] = None
-        if table_cells <= limit:
-            # Dense per-color distribution matrices: tables[x, i, j] = PΣ_{C,x}(i, j).
-            # Counts are bounded by the point count (<= min(n_rows, n_cols)),
-            # so int16 holds them below 32768 points; the column prefix and
-            # the row suffix both accumulate in place.
-            tables = np.zeros(
-                (num_colors, n_rows + 1, n_cols + 1), dtype=count_dtype(rows.size)
+        block = _block_size(rows.size)
+        table_cells = self.num_colors * (rows.size // block + 2) * (self.n_cols + 1)
+        if table_cells <= BLOCK_TABLE_LIMIT:
+            self._counts = _BlockRowCounts(
+                rows, cols, colors, self.num_colors, self.n_rows, self.n_cols, block
             )
-            if rows.size:
-                np.add.at(tables, (colors, rows, cols + 1), 1)
-            np.cumsum(tables, axis=2, out=tables)
-            suffix = tables[:, ::-1, :]
-            np.cumsum(suffix, axis=1, out=suffix)
-            self._dense_tables = tables
-            return
-
-        # Color-major sorted structures (one vectorised batch per query, no
-        # Python loop over colors).  ``_starts[x]`` is color x's offset into
-        # the color-major arrays; the *_shifted arrays hold values offset by
-        # ``color * span`` so per-color searchsorted batches collapse into one.
-        self._row_span = np.int64(n_rows + 1)
-        self._col_span = np.int64(n_cols + 1)
-        counts = np.bincount(colors, minlength=num_colors).astype(np.int64)
-        self._starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-        by_row = np.lexsort((rows, colors))
-        self._rows_shifted = rows[by_row] + colors[by_row] * self._row_span
-        self._cols_by_row = cols[by_row]
-        by_col = np.lexsort((cols, colors))
-        self._cols_shifted = cols[by_col] + colors[by_col] * self._col_span
-        # One rank tree over the whole color-major array: a per-color prefix
-        # is the absolute range [starts[x], end), so batched prefix counts
-        # need no per-color structures.
-        self._rank_tree = _PrefixRankTree(self._cols_by_row, n_cols)
+        else:
+            self._counts = _RankTreeCounts(
+                rows, cols, colors, self.num_colors, self.n_rows, self.n_cols
+            )
 
     # ------------------------------------------------------------------ memory
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the point arrays plus the query acceleration
-        structures (dense tables or the color-major arrays and rank tree).
+        """Resident bytes of the point arrays plus the query structure.
 
         Used by the service-layer index cache to enforce its byte budget, so
         it must reflect what actually stays alive after construction.
         """
-        total = self.rows.nbytes + self.cols.nbytes + self.colors.nbytes
-        if self._dense_tables is not None:
-            return total + self._dense_tables.nbytes
-        total += self._starts.nbytes
-        total += self._rows_shifted.nbytes
-        total += self._cols_by_row.nbytes
-        total += self._cols_shifted.nbytes
-        total += self._rank_tree.nbytes
-        return total
+        return self.rows.nbytes + self.cols.nbytes + self.colors.nbytes + self._counts.nbytes
 
     # ------------------------------------------------------------------ counts
-    def _color_keys(self, values: np.ndarray, span: np.int64) -> np.ndarray:
-        """``keys[b, x] = x * span + values[b]`` for the shifted searches."""
-        shifts = np.arange(self.num_colors, dtype=np.int64) * span
-        return values[:, None] + shifts[None, :]
-
     def row_suffix_counts(self, i: np.ndarray) -> np.ndarray:
         """``out[b, x] = #{points of color x with row >= i[b]}``."""
-        i = np.asarray(i, dtype=np.int64)
-        if self._dense_tables is not None:
-            return self._dense_tables[:, i, self.n_cols].T.astype(np.int64)
-        ends = np.searchsorted(self._rows_shifted, self._color_keys(i, self._row_span))
-        return self._starts[1:][None, :] - ends
+        return self._counts.row_suffix(np.asarray(i, dtype=np.int64))
 
     def col_prefix_counts(self, j: np.ndarray) -> np.ndarray:
         """``out[b, x] = #{points of color x with col < j[b]}``."""
-        j = np.asarray(j, dtype=np.int64)
-        if self._dense_tables is not None:
-            return self._dense_tables[:, 0, j].T.astype(np.int64)
-        pos = np.searchsorted(self._cols_shifted, self._color_keys(j, self._col_span))
-        return pos - self._starts[:-1][None, :]
+        return self._counts.col_prefix(np.asarray(j, dtype=np.int64))
 
     def dominance_counts(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``out[b, x] = PΣ_{C,x}(i[b], j[b]) = #{color-x points : row >= i, col < j}``."""
         i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        if self._dense_tables is not None:
-            return self._dense_tables[:, i, j].T.astype(np.int64)
-        col_prefix = self.col_prefix_counts(j)
-        return self._dominance_from_col_prefix(i, j, col_prefix)
-
-    def _dominance_from_col_prefix(
-        self, i: np.ndarray, j: np.ndarray, col_prefix: np.ndarray
-    ) -> np.ndarray:
-        """Sparse-path dominance counts reusing an existing col-prefix batch.
-
-        ``#{color x: row >= i, col < j}`` = (color-x points with col < j)
-        minus (color-x points with row < i and col < j).  The subtrahend is a
-        prefix-range rank query on the single color-major tree: the range
-        ``[starts[x], ends[b, x])`` decomposes as tree(ends) minus the
-        exclusive running sum of the col-prefix counts (everything before
-        color x's segment with col < j).
-        """
-        ends = np.searchsorted(self._rows_shifted, self._color_keys(i, self._row_span))
-        before_end = self._rank_tree.prefix_count_less(ends, j[:, None])
-        before_start = np.cumsum(col_prefix, axis=1) - col_prefix
-        return col_prefix - (before_end - before_start)
+        row_suffix = self._counts.row_suffix(i)
+        lower_rows = np.cumsum(row_suffix, axis=1) - row_suffix
+        return self._counts.stacked_dominance(i, np.asarray(j, dtype=np.int64)) - lower_rows
 
     # ------------------------------------------------------------ F_q / sigma
     def f_values(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``out[b, q] = F_q(i[b], j[b])`` for every subproblem index q."""
-        i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        row_suffix = self.row_suffix_counts(i)
-        col_prefix = self.col_prefix_counts(j)
-        if self._dense_tables is not None:
-            dom = self.dominance_counts(i, j)
-        else:
-            dom = self._dominance_from_col_prefix(i, j, col_prefix)
-        # Σ_{x < q} row_suffix[x]  and  Σ_{x > q} col_prefix[x]
-        before = np.cumsum(row_suffix, axis=1) - row_suffix
-        total_after = col_prefix.sum(axis=1, keepdims=True)
-        after = total_after - np.cumsum(col_prefix, axis=1)
-        return before + dom + after
+        col_prefix = self._counts.col_prefix(j)
+        # Σ_{x > q} col_prefix[x]
+        after = col_prefix.sum(axis=1, keepdims=True) - np.cumsum(col_prefix, axis=1)
+        return self._counts.stacked_dominance(np.asarray(i, dtype=np.int64), j) + after
 
     def sigma(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``PΣ_C(i[b], j[b]) = min_q F_q(i[b], j[b])`` (Lemma 3.2)."""
@@ -328,16 +435,12 @@ class ColoredPointSet:
     def combine(self) -> SubPermutation:
         """Compute the full product ``P_C`` as a :class:`SubPermutation`.
 
-        Optimisation: a sub-result point survives unchanged whenever
-        ``P_C`` has a 1 at its position (Lemma 3.10 region); those rows are
-        settled with **one** stacked sigma evaluation of all four corners of
-        every union point, and only the remaining rows (whose point was
-        displaced by a demarcation line) run the binary search.  Small
-        instances skip both stages and take the fully dense path instead.
+        A sub-result point survives unchanged whenever ``P_C`` has a 1 at its
+        position (Lemma 3.10 region); those rows are settled with **one**
+        stacked sigma evaluation of all four corners of every union point,
+        and only the remaining rows (whose point was displaced by a
+        demarcation line) run the binary search.
         """
-        if self._dense_tables is not None:
-            return self._combine_dense()
-
         result_cols = np.full(self.n_rows, -1, dtype=np.int64)
 
         if self.rows.size:
@@ -363,23 +466,6 @@ class ColoredPointSet:
             result_cols[unresolved] = found
 
         return SubPermutation(result_cols, n_cols=self.n_cols, validate=True)
-
-    def _combine_dense(self) -> SubPermutation:
-        """Dense combine: materialise ``PΣ_C = min_q F_q`` and difference it."""
-        tables = self._dense_tables
-        before = np.cumsum(tables[:, :, self.n_cols], axis=0) - tables[:, :, self.n_cols]
-        col_tot = tables[:, 0, :]
-        after = col_tot.sum(axis=0, keepdims=True, dtype=np.int32) - np.cumsum(
-            col_tot, axis=0, dtype=np.int32
-        )
-        sigma = np.min(
-            tables + before[:, :, None] + after[:, None, :], axis=0
-        )
-        density = sigma[:-1, 1:] - sigma[:-1, :-1] - sigma[1:, 1:] + sigma[1:, :-1]
-        rows, cols = np.nonzero(density)
-        return SubPermutation.from_points(
-            rows, cols, self.n_rows, self.n_cols, validate=False
-        )
 
 
 def combine_colored(

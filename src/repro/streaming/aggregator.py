@@ -218,8 +218,11 @@ def _sweep_one_part(D: np.ndarray, part: BlockProduct, slots: np.ndarray) -> np.
     chunk = max(1, _SWEEP_CHUNK_ENTRIES // max(1, rows * s))
     for lo in range(0, s, chunk):
         H[:, lo : lo + chunk] = (G[:, :, None] + S[None, :, lo : lo + chunk]).max(axis=1)
+    repeats = np.empty(s, dtype=np.int64)  # repeats[a - 1] = #v in (e_{a-1}, e_a], e_s = m
+    np.subtract(slots[1:], slots[:-1], out=repeats[:-1])
+    repeats[-1] = D.shape[1] - 1 - slots[-1]
     tail = D[:, slots[0] + 1 :]
-    np.maximum(tail, np.repeat(H, np.diff(slots, append=D.shape[1] - 1), axis=1), out=tail)
+    np.maximum(tail, np.repeat(H, repeats, axis=1), out=tail)
     return D
 
 

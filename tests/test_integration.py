@@ -93,20 +93,20 @@ def _recording(calls, function):
     fanin=st.integers(min_value=2, max_value=5),
     grid_size=st.integers(min_value=4, max_value=64),
     delta=st.sampled_from([0.25, 0.5]),
-    dense_tables=st.booleans(),
+    block_table=st.booleans(),
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_batched_subgrid_solve_matches_instances_property(
-    n, fanin, grid_size, delta, dense_tables, seed
+    n, fanin, grid_size, delta, block_table, seed
 ):
     """Property: the combine's batched subgrid pass is what one machine per
     active subgrid would compute from its own instance, point for point and
-    word for word, on the dense-table and on the rank-tree point set."""
+    word for word, on the block-row table and on the rank-tree point set."""
     rows, cols, colors, ps, expected = colored_union(n, fanin, np.random.default_rng(seed))
     cluster = MPCCluster(n, delta=delta)
     sized, solved = [], []
-    table_limit = core_combine.DENSE_TABLE_LIMIT if dense_tables else 0
-    with mock.patch.object(core_combine, "DENSE_TABLE_LIMIT", table_limit), mock.patch.object(
+    cell_budget = core_combine.BLOCK_TABLE_LIMIT if block_table else 0
+    with mock.patch.object(core_combine, "BLOCK_TABLE_LIMIT", cell_budget), mock.patch.object(
         constant_round, "instance_words", _recording(sized, constant_round.instance_words)
     ), mock.patch.object(
         constant_round, "_solve_subgrids", _recording(solved, constant_round._solve_subgrids)

@@ -226,22 +226,25 @@ class TestIterativeEngine:
 
 
 class TestReferenceEngine:
-    def test_reference_engine_respects_dense_table_limit(self, rng, monkeypatch):
-        # A zero budget forces every reference-engine merge onto the sparse
-        # color-major path of the combine engine; the product is unchanged.
+    def test_reference_engine_respects_cell_budget(self, rng, monkeypatch):
+        # Every reference-engine merge builds a block-row table by default,
+        # and a zero cell budget moves every one to the rank tree of the
+        # combine engine; the product is the same on both.
         pa, pb = random_permutation(40, rng), random_permutation(40, rng)
-        expected = multiply_permutations_reference(pa, pb, base_size=4)
-        sparse = []
+        on_tree = []
         original_init = combine_module.ColoredPointSet.__init__
 
         def recording_init(self, *args, **kwargs):
             original_init(self, *args, **kwargs)
-            sparse.append(self._dense_tables is None)
+            on_tree.append(isinstance(self._counts, combine_module._RankTreeCounts))
 
-        monkeypatch.setattr(combine_module, "DENSE_TABLE_LIMIT", 0)
         monkeypatch.setattr(combine_module.ColoredPointSet, "__init__", recording_init)
+        expected = multiply_permutations_reference(pa, pb, base_size=4)
+        assert on_tree and not any(on_tree)
+        on_tree.clear()
+        monkeypatch.setattr(combine_module, "BLOCK_TABLE_LIMIT", 0)
         assert multiply_permutations_reference(pa, pb, base_size=4) == expected
-        assert sparse and all(sparse)
+        assert on_tree and all(on_tree)
 
 
 @settings(max_examples=40, deadline=None)

@@ -188,8 +188,8 @@ class TestIndexCache:
 
     def test_nbytes_includes_query_acceleration_structures(self):
         # The LRU budget must reflect resident memory: the matrix alone is
-        # n*8 bytes, but the ColoredPointSet behind the index (dense tables
-        # or color-major arrays + rank tree) dominates and must be counted.
+        # n*8 bytes, but the ColoredPointSet behind the index (a block-row
+        # table, or color-major arrays + rank tree) dominates and must be counted.
         index = self._tiny_index(9)
         matrix_bytes = index.semilocal.matrix.row_to_col.nbytes
         points_bytes = index.semilocal._points.nbytes
